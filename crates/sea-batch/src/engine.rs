@@ -20,11 +20,10 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 use sea_core::{
-    solve_bounded_supervised_configured, solve_diagonal_supervised, solve_general_supervised,
-    BoundedOptions, BoundedProblem, DiagonalProblem, Event, GeneralProblem, GeneralSeaOptions,
-    KernelCounters, KernelKind, Observer, Parallelism, Precision, SeaError, SeaOptions, SimdMode,
-    SpanKind, StopReason, SupervisedBoundedSolution, SupervisedGeneralSolution, SupervisedSolution,
-    SupervisorOptions,
+    solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised, BoundedProblem,
+    DiagonalProblem, Event, GeneralProblem, GeneralSeaOptions, KernelCounters, KernelKind,
+    Observer, Parallelism, Precision, SeaError, SeaOptions, SimdMode, SpanKind, StopReason,
+    SupervisedBoundedSolution, SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
 };
 use sea_linalg::CsrMatrix;
 
@@ -681,75 +680,41 @@ fn solve_one(
         counters: KernelCounters::default(),
         events: mem::take(&mut slot.events),
     };
-    let inner = opts.parallelism.instance();
+    // Every class reads the same options; the general class's inner
+    // solves run one decade tighter than its outer tolerance.
+    let mut o = SeaOptions {
+        epsilon: opts.epsilon,
+        max_iterations: opts.max_iterations,
+        kernel: opts.kernel,
+        simd: opts.simd,
+        precision: opts.precision,
+        parallelism: opts.parallelism.instance(),
+        initial_mu: hit.then(|| mem::take(&mut slot.mu_seed)),
+        ..SeaOptions::default()
+    };
+    let sup = &opts.supervisor;
     let outcome = match &inst.problem {
         BatchProblem::Diagonal(p) => {
-            let mut o = SeaOptions::with_epsilon(opts.epsilon);
-            o.max_iterations = opts.max_iterations;
-            o.kernel = opts.kernel;
-            o.simd = opts.simd;
-            o.precision = opts.precision;
-            o.parallelism = inner;
-            if hit {
-                o.initial_mu = Some(mem::take(&mut slot.mu_seed));
-            }
-            let r = solve_diagonal_supervised(p, &o, &opts.supervisor, &mut probe);
-            if let Some(seed) = o.initial_mu.take() {
-                slot.mu_seed = seed; // reclaim the buffer for the arena
-            }
-            r.map(BatchSolution::Diagonal)
+            solve_diagonal_supervised(p, &o, sup, &mut probe).map(BatchSolution::Diagonal)
         }
         BatchProblem::SparseDiagonal(p) => {
-            let mut o = SeaOptions::with_epsilon(opts.epsilon);
-            o.max_iterations = opts.max_iterations;
-            o.kernel = opts.kernel;
-            o.simd = opts.simd;
-            o.precision = opts.precision;
-            o.parallelism = inner;
-            if hit {
-                o.initial_mu = Some(mem::take(&mut slot.mu_seed));
-            }
-            let r = solve_diagonal_supervised(p, &o, &opts.supervisor, &mut probe);
-            if let Some(seed) = o.initial_mu.take() {
-                slot.mu_seed = seed; // reclaim the buffer for the arena
-            }
-            r.map(BatchSolution::SparseDiagonal)
+            solve_diagonal_supervised(p, &o, sup, &mut probe).map(BatchSolution::SparseDiagonal)
         }
         BatchProblem::Bounded(p) => {
-            let seed = hit.then_some(slot.mu_seed.as_slice());
-            let bcfg = BoundedOptions {
-                kernel: opts.kernel,
-                simd: opts.simd,
-                precision: opts.precision,
-            };
-            solve_bounded_supervised_configured(
-                p,
-                opts.epsilon,
-                opts.max_iterations,
-                &bcfg,
-                seed,
-                &opts.supervisor,
-                &mut probe,
-            )
-            .map(BatchSolution::Bounded)
+            solve_bounded_supervised(p, &o, sup, &mut probe).map(BatchSolution::Bounded)
         }
         BatchProblem::General(p) => {
-            let mut o = GeneralSeaOptions::with_epsilon(opts.epsilon);
-            o.inner.max_iterations = opts.max_iterations;
-            o.inner.kernel = opts.kernel;
-            o.inner.simd = opts.simd;
-            o.inner.precision = opts.precision;
-            o.inner.parallelism = inner;
-            if hit {
-                o.inner.initial_mu = Some(mem::take(&mut slot.mu_seed));
-            }
-            let r = solve_general_supervised(p, &o, &opts.supervisor, &mut probe);
-            if let Some(seed) = o.inner.initial_mu.take() {
-                slot.mu_seed = seed;
-            }
-            r.map(BatchSolution::General)
+            let mut g = GeneralSeaOptions::with_epsilon(opts.epsilon);
+            o.epsilon = g.inner.epsilon;
+            g.inner = mem::take(&mut o);
+            let r = solve_general_supervised(p, &g, sup, &mut probe).map(BatchSolution::General);
+            o = g.inner;
+            r
         }
     };
+    if let Some(seed) = o.initial_mu {
+        slot.mu_seed = seed; // reclaim the buffer for the arena
+    }
 
     slot.events = probe.events;
     slot.kernel_work = probe.work;

@@ -182,3 +182,54 @@ fn event_streams_are_identical_across_scheduling_policies() {
         );
     }
 }
+
+/// `Inner` policies reach bounded instances: their passes fan out on
+/// the instance's pool (the bounded `SolveStart` names it) and the result
+/// is bitwise identical to the serial batch.
+#[test]
+fn inner_parallelism_reaches_bounded_instances_bitwise() {
+    let batch: Vec<BatchInstance> = (0..2)
+        .map(|i| BatchInstance {
+            id: format!("bounded-{i}"),
+            family: None,
+            problem: BatchProblem::Bounded(
+                generator::try_bounded(40 + i, 9, 8, 2, 1.0).expect("feasible bounded instance"),
+            ),
+        })
+        .collect();
+    let run = |policy: BatchParallelism| {
+        let mut engine = BatchEngine::new(options(policy));
+        let mut obs = sea_core::VecObserver::new();
+        let report = engine.solve_batch(&batch, &mut obs);
+        let labels: Vec<String> = obs
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                sea_core::Event::SolveStart {
+                    solver: "bounded",
+                    parallelism,
+                    ..
+                } => Some(parallelism.clone()),
+                _ => None,
+            })
+            .collect();
+        (fingerprints(&report), labels)
+    };
+    let (reference, serial_labels) = run(BatchParallelism::Serial);
+    assert_eq!(serial_labels, ["serial", "serial"]);
+    for (policy, label) in [
+        (BatchParallelism::Inner, "rayon"),
+        (BatchParallelism::InnerThreads(2), "rayon:2"),
+    ] {
+        let (got, labels) = run(policy);
+        assert_eq!(
+            labels,
+            [label, label],
+            "{policy:?}: bounded passes stayed serial"
+        );
+        assert_eq!(
+            got, reference,
+            "{policy:?}: bounded results diverged from serial"
+        );
+    }
+}

@@ -597,6 +597,7 @@ EXIT CODES:
   18  linear-algebra error       19  inconsistent bounds
   20  worker panic (contained)   21  sparse pattern mismatch
   22  SIMD forced but CPU lacks AVX2
+  23  option the driver does not support
 
 `report` summarizes a JSONL log recorded with --observe: per-phase wall
 time, serial fraction, and iterations to convergence; with --processors N

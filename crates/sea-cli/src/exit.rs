@@ -97,6 +97,7 @@ pub fn error_exit_code(e: &SeaError) -> i32 {
         SeaError::WorkerPanic { .. } => 20,
         SeaError::PatternMismatch { .. } => 21,
         SeaError::SimdUnsupported => 22,
+        SeaError::Unsupported { .. } => 23,
     }
 }
 
@@ -164,6 +165,10 @@ mod tests {
             },
             SeaError::PatternMismatch { context: "t" },
             SeaError::SimdUnsupported,
+            SeaError::Unsupported {
+                driver: "general",
+                option: "checkpoint",
+            },
         ]
     }
 

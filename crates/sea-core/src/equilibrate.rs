@@ -23,7 +23,10 @@
 //! bitwise identical across worker counts *and* shard sizes.
 
 use crate::error::SeaError;
-use crate::kernel_simd::{exact_equilibration_f32, exact_equilibration_simd};
+use crate::kernel_simd::{
+    exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,
+    exact_equilibration_simd,
+};
 use crate::knapsack::{EquilibrationScratch, KernelKind, TotalMode};
 use crate::parallel::Parallelism;
 use crate::storage::{RowView, Storage};
@@ -211,13 +214,14 @@ pub struct PassInputs<'a, S: Storage> {
     pub fault: Option<TaskFault>,
 }
 
-/// Run the configured kernel on one subproblem; on a pathological result
+/// Run the configured kernel on one subproblem — box-bounded when `bounds`
+/// carries the subproblem's `(lo, hi)` slices; on a pathological result
 /// (non-finite `λ` or total — or a scripted kernel fault) re-solve with the
 /// robust sort-scan kernel and count the fallback. Quickselect's
 /// median-of-three pivoting can in principle degrade on adversarial
 /// breakpoint patterns; sort-scan is the slower oracle both kernels are
 /// differentially tested against, so it is the safe harbor.
-#[allow(clippy::too_many_arguments)] // kernel inputs + output + workspace + fallback sink
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + output + workspace + fallback sink
 fn kernel_solve(
     kernel: KernelKind,
     simd: SimdLevel,
@@ -226,6 +230,7 @@ fn kernel_solve(
     q: &[f64],
     g: &[f64],
     sh: &[f64],
+    bounds: BoundRows<'_>,
     mode: TotalMode,
     x: &mut [f64],
     eq: &mut EquilibrationScratch,
@@ -236,7 +241,11 @@ fn kernel_solve(
     // precision routes straight to the f64 kernel there (measured ~4×
     // faster end-to-end than forcing the f32 sort-scan).
     if f32_phase && kernel == KernelKind::SortScan && !force_fallback {
-        if let Some(r) = exact_equilibration_f32(simd, q, g, sh, mode, x, eq)? {
+        let r = match bounds {
+            None => exact_equilibration_f32(simd, q, g, sh, mode, x, eq)?,
+            Some((l, h)) => exact_equilibration_boxed_f32(simd, q, g, sh, l, h, mode, x, eq)?,
+        };
+        if let Some(r) = r {
             if r.lambda.is_finite() && r.total.is_finite() {
                 return Ok((r.lambda, r.total));
             }
@@ -245,18 +254,23 @@ fn kernel_solve(
         // subproblem; count the fallback and re-solve in full precision.
         *fallbacks += 1;
     }
-    let r = exact_equilibration_simd(simd, kernel, q, g, sh, mode, x, eq)?;
+    let solve = |kernel: KernelKind, x: &mut [f64], eq: &mut EquilibrationScratch| match bounds {
+        None => exact_equilibration_simd(simd, kernel, q, g, sh, mode, x, eq),
+        Some((l, h)) => exact_equilibration_boxed_simd(simd, kernel, q, g, sh, l, h, mode, x, eq),
+    };
+    let r = solve(kernel, x, eq)?;
     let pathological = force_fallback || !r.lambda.is_finite() || !r.total.is_finite();
     if pathological && kernel == KernelKind::Quickselect {
         *fallbacks += 1;
-        let r = exact_equilibration_simd(simd, KernelKind::SortScan, q, g, sh, mode, x, eq)?;
+        let r = solve(KernelKind::SortScan, x, eq)?;
         return Ok((r.lambda, r.total));
     }
     Ok((r.lambda, r.total))
 }
 
 /// Shared semantics for a subproblem with no active entries: the iterate
-/// stays zero, a positive fixed total is infeasible, and an elastic total
+/// stays zero, any nonzero fixed total is infeasible (the empty row can
+/// only realize exactly zero, whatever its bounds), and an elastic total
 /// settles at its unconstrained optimum.
 fn empty_support_result(
     mode: TotalMode,
@@ -264,7 +278,7 @@ fn empty_support_result(
     i: usize,
 ) -> Result<(f64, f64), SeaError> {
     match mode {
-        TotalMode::Fixed { total } if total > 0.0 => {
+        TotalMode::Fixed { total } if total != 0.0 => {
             Err(SeaError::InfeasibleSubproblem { side, index: i })
         }
         TotalMode::Fixed { .. } => Ok((0.0, 0.0)),
@@ -276,11 +290,49 @@ fn empty_support_result(
     }
 }
 
+/// Entry bounds of a box-bounded pass, oriented like the pass's prior
+/// (crate-private: the public [`PassInputs`] stays the unbounded pass).
+pub(crate) struct Bounds<'a, S: Storage> {
+    /// Lower bounds.
+    pub lo: &'a S,
+    /// Upper bounds.
+    pub hi: &'a S,
+}
+
+// Manual impls: a derive would demand `S: Copy`, but only the references
+// are copied.
+impl<S: Storage> Clone for Bounds<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: Storage> Copy for Bounds<'_, S> {}
+
+/// One subproblem's `(lo, hi)` slices, when its pass is bounded.
+type BoundRows<'a> = Option<(&'a [f64], &'a [f64])>;
+
+/// Subproblem `i`'s bound slices, in the same layout as its prior row.
+fn bound_rows<'a, S: Storage>(
+    bounds: Option<Bounds<'a, S>>,
+    i: usize,
+) -> Result<BoundRows<'a>, SeaError> {
+    let Some(b) = bounds else { return Ok(None) };
+    match (b.lo.row_view(i), b.hi.row_view(i)) {
+        (RowView::Dense(l), RowView::Dense(h))
+        | (RowView::Indexed { vals: l, .. }, RowView::Indexed { vals: h, .. }) => Ok(Some((l, h))),
+        _ => Err(SeaError::PatternMismatch {
+            context: "bounded pass inputs (mixed row views)",
+        }),
+    }
+}
+
 /// Solve one subproblem; returns `(λ, realized total)` and writes the
 /// subproblem's entries into `x_row` (the iterate's stored values for this
 /// row: length `n` dense, support size for CSR).
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
+    bounds: Option<Bounds<'_, S>>,
     i: usize,
     mode: TotalMode,
     x_row: &mut [f64],
@@ -295,6 +347,7 @@ fn solve_task<S: Storage>(
         }
         _ => false,
     };
+    let box_rows = bound_rows(bounds, i)?;
     match (inp.prior.row_view(i), inp.gamma.row_view(i)) {
         // Sparse row: the stored entries are the support. The kernel runs
         // directly over the prior/weight value slices and writes the
@@ -315,6 +368,7 @@ fn solve_task<S: Storage>(
                 q,
                 g,
                 &scratch.sh,
+                box_rows,
                 mode,
                 x_row,
                 &mut scratch.eq,
@@ -337,11 +391,17 @@ fn solve_task<S: Storage>(
                 prior_row,
                 gamma_row,
                 inp.shift,
+                box_rows,
                 mode,
                 x_row,
                 &mut scratch.eq,
                 &mut scratch.fallbacks,
             ),
+            // Structural-zero support lists belong to diagonal problems;
+            // bounded problems carry their support in a sparse pattern.
+            Some(_) if box_rows.is_some() => Err(SeaError::PatternMismatch {
+                context: "bounded pass inputs (support lists)",
+            }),
             Some(support) => {
                 let idx = &support[i];
                 let k = idx.len();
@@ -375,6 +435,7 @@ fn solve_task<S: Storage>(
                     q,
                     g,
                     sh,
+                    None,
                     mode,
                     x,
                     eq,
@@ -409,13 +470,14 @@ fn solve_task<S: Storage>(
 /// allocation-free steady state.
 fn run_task<S: Storage>(
     inp: &PassInputs<'_, S>,
+    bounds: Option<Bounds<'_, S>>,
     i: usize,
     mode: TotalMode,
     x_row: &mut [f64],
     scratch: &mut TaskScratch,
 ) -> Result<(f64, f64), SeaError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_task(inp, i, mode, x_row, scratch)
+        solve_task(inp, bounds, i, mode, x_row, scratch)
     })) {
         Ok(r) => r,
         Err(payload) => {
@@ -538,6 +600,38 @@ pub fn equilibration_pass<S: Storage>(
     totals_out: &mut [f64],
     x: &mut S,
     par: Parallelism,
+    costs: Option<&mut Vec<f64>>,
+    counters: Option<&PassCounters>,
+    shard_starts: Option<&[usize]>,
+    timings: Option<&mut ShardSink>,
+) -> Result<(), SeaError> {
+    bounded_pass(
+        inp,
+        None,
+        modes,
+        lambda,
+        totals_out,
+        x,
+        par,
+        costs,
+        counters,
+        shard_starts,
+        timings,
+    )
+}
+
+/// [`equilibration_pass`] with optional entry bounds: with `Some`, every
+/// subproblem is the box-bounded knapsack of the interval class, solved by
+/// the same serial or sharded parallel machinery.
+#[allow(clippy::too_many_arguments)] // equilibration_pass + bounds
+pub(crate) fn bounded_pass<S: Storage>(
+    inp: &PassInputs<'_, S>,
+    bounds: Option<Bounds<'_, S>>,
+    modes: &(dyn Fn(usize) -> TotalMode + Sync),
+    lambda: &mut [f64],
+    totals_out: &mut [f64],
+    x: &mut S,
+    par: Parallelism,
     mut costs: Option<&mut Vec<f64>>,
     counters: Option<&PassCounters>,
     shard_starts: Option<&[usize]>,
@@ -568,7 +662,7 @@ pub fn equilibration_pass<S: Storage>(
             scratch.fallbacks = 0;
             for i in 0..m {
                 let t0 = timing.then(Instant::now);
-                let (l, s) = run_task(inp, i, modes(i), x.row_values_mut(i), scratch)?;
+                let (l, s) = run_task(inp, bounds, i, modes(i), x.row_values_mut(i), scratch)?;
                 lambda[i] = l;
                 totals_out[i] = s;
                 if let (Some(c), Some(t0)) = (cost_slice.as_deref_mut(), t0) {
@@ -609,7 +703,8 @@ pub fn equilibration_pass<S: Storage>(
                     for t in 0..shard.rows.len() {
                         let i = shard.base + t;
                         let t0 = timing.then(Instant::now);
-                        let (lv, sv) = run_task(inp, i, modes(i), &mut *shard.rows[t], scratch)?;
+                        let (lv, sv) =
+                            run_task(inp, bounds, i, modes(i), &mut *shard.rows[t], scratch)?;
                         shard.lambda[t] = lv;
                         shard.totals[t] = sv;
                         if let (Some(c), Some(t0)) = (shard.costs.as_deref_mut(), t0) {

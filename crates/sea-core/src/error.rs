@@ -98,6 +98,15 @@ pub enum SeaError {
         /// The panic payload's message, when it was a string.
         message: String,
     },
+    /// A driver was asked to honour an option it cannot express (e.g. a
+    /// checkpoint of a general solve). Refused up front, before any work,
+    /// so no option is ever silently ignored.
+    Unsupported {
+        /// Driver name (`"bounded"`, `"general"`).
+        driver: &'static str,
+        /// The refused option (`SeaOptions` or `SupervisorOptions` field).
+        option: &'static str,
+    },
 }
 
 impl fmt::Display for SeaError {
@@ -161,6 +170,9 @@ impl fmt::Display for SeaError {
                 f,
                 "{side} equilibration worker {index} panicked: {message}"
             ),
+            SeaError::Unsupported { driver, option } => {
+                write!(f, "the {driver} driver does not support option `{option}`")
+            }
         }
     }
 }

@@ -10,16 +10,16 @@
 //! iteration, while all constraint work stays in the cheap, parallel
 //! equilibration passes.
 
+use crate::epoch::{self, Cx, Finished, Iterate, Run, Schedule, Step};
+use crate::equilibrate::PassCounters;
 use crate::error::SeaError;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
-use crate::solver::{solve_diagonal_observed, SeaOptions};
+use crate::solver::{diagonal, SeaOptions};
 use crate::storage::Storage;
-use crate::supervisor::{SolveControl, StopReason, SupervisedGeneralSolution, SupervisorOptions};
+use crate::supervisor::{SolveControl, SupervisedGeneralSolution, SupervisorOptions};
 use crate::trace::{ExecutionTrace, PhaseKind};
-use sea_linalg::{vector, DenseMatrix, SymMatrix};
-use sea_observe::{
-    Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
-};
+use sea_linalg::{DenseMatrix, SymMatrix};
+use sea_observe::{Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind};
 use std::time::{Duration, Instant};
 
 /// Total specification for the general problem.
@@ -373,161 +373,174 @@ pub fn solve_general(
     p: &GeneralProblem,
     opts: &GeneralSeaOptions,
 ) -> Result<GeneralSolution, SeaError> {
-    solve_general_observed(p, opts, &mut NullObserver)
+    opts.inner
+        .parallelism
+        .run(move || Ok(general(p, opts, &mut NullObserver, &mut SolveControl::passive())?.output))
 }
 
-/// [`solve_general`] with the inner diagonal subproblems carried in storage
-/// backend `S`. With a sparse backend every stored cell of the projection's
-/// pseudo-prior is kept (full pattern), so results are bitwise identical to
-/// the dense path; this entry point exists to exercise and scale the sparse
-/// plumbing end-to-end through the projection method.
-///
-/// # Errors
-/// Same contract as [`solve_general`].
-pub fn solve_general_in<S: Storage>(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-) -> Result<GeneralSolution<S>, SeaError> {
-    solve_general_inner::<S, _>(p, opts, &mut NullObserver, &mut SolveControl::passive())
-}
-
-/// [`solve_general`] with an event sink (see
-/// [`solve_diagonal_observed`]).
+/// [`solve_general`] with an event sink, under the fault-tolerant
+/// supervisor, and with the inner diagonal subproblems carried in storage
+/// backend `S` (`DenseMatrix` or `CsrMatrix`; with a sparse backend every
+/// stored cell of the projection's pseudo-prior is kept, so results are
+/// bitwise identical to the dense path).
 ///
 /// The outer loop emits its own `SolveStart`/`SolveEnd` pair plus one
 /// `Projection` phase and one `OuterIteration` event per projection step;
 /// the nested diagonal solves emit their full event stream in between, so a
 /// log of a general solve contains interleaved solver lifecycles.
 ///
-/// # Errors
-/// Same contract as [`solve_general`].
-pub fn solve_general_observed<O: Observer + Send>(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-    obs: &mut O,
-) -> Result<GeneralSolution, SeaError> {
-    solve_general_inner::<DenseMatrix, _>(p, opts, obs, &mut SolveControl::passive())
-}
-
-/// [`solve_general_observed`] under the fault-tolerant supervisor. The
-/// budget, cancellation, stagnation, and breakdown watchdogs run at
-/// *outer-iteration* granularity (an inner diagonal solve always runs to
-/// its own completion); worker panics inside the inner equilibration passes
-/// surface as [`SeaError::WorkerPanic`] regardless.
+/// Supervision runs at *outer-iteration* granularity: the budget
+/// (iterations, deadline, kernel work summed over the inner solves),
+/// cancellation, stagnation, and the breakdown watchdog are checked once
+/// per projection step; an inner diagonal solve always runs to its own
+/// completion. Worker panics inside the inner passes surface as
+/// [`SeaError::WorkerPanic`].
 ///
 /// # Errors
-/// Same contract as [`solve_general`].
-pub fn solve_general_supervised<O: Observer + Send>(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-    sup: &SupervisorOptions,
-    obs: &mut O,
-) -> Result<SupervisedGeneralSolution, SeaError> {
-    solve_general_supervised_in::<DenseMatrix, _>(p, opts, sup, obs)
-}
-
-/// [`solve_general_supervised`] with inner storage backend `S` (see
-/// [`solve_general_in`]).
-///
-/// # Errors
-/// Same contract as [`solve_general`].
-pub fn solve_general_supervised_in<S: Storage, O: Observer + Send>(
+/// Same contract as [`solve_general`], plus [`SeaError::Unsupported`] for
+/// the supervisor options a general solve cannot express: `checkpoint` and
+/// `start_iteration` (its state is the primal iterate, which
+/// `SEA-CHECKPOINT v1` cannot carry) and `faults` that target passes or
+/// multipliers (the outer loop has neither; deadline and cancel faults are
+/// honoured).
+pub fn solve_general_supervised<S: Storage, O: Observer + Send>(
     p: &GeneralProblem,
     opts: &GeneralSeaOptions,
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedGeneralSolution<S>, SeaError> {
-    let mut ctrl = SolveControl::active(sup);
-    let solution = solve_general_inner::<S, _>(p, opts, obs, &mut ctrl)?;
-    let stop = if solution.converged {
-        StopReason::Converged
+    let refused = if sup.checkpoint.is_some() {
+        Some("checkpoint")
+    } else if sup.start_iteration != 0 {
+        Some("start_iteration")
+    } else if sup.faults.targets_passes() {
+        Some("faults")
     } else {
-        ctrl.stop().unwrap_or(StopReason::IterationCap)
+        None
     };
-    Ok(SupervisedGeneralSolution { solution, stop })
+    if let Some(option) = refused {
+        return Err(SeaError::Unsupported {
+            driver: "general",
+            option,
+        });
+    }
+    opts.inner.parallelism.run(move || {
+        let done = general(p, opts, obs, &mut SolveControl::active(sup))?;
+        Ok(SupervisedGeneralSolution {
+            solution: done.output,
+            stop: done.stop,
+        })
+    })
 }
 
-fn solve_general_inner<S: Storage, O: Observer + Send>(
+fn general<S: Storage, O: Observer>(
     p: &GeneralProblem,
     opts: &GeneralSeaOptions,
     obs: &mut O,
     ctrl: &mut SolveControl<'_>,
-) -> Result<GeneralSolution<S>, SeaError> {
-    let start = Instant::now();
+) -> Result<Finished<GeneralSolution<S>>, SeaError> {
     let (m, n) = (p.m(), p.n());
-    let observing = obs.enabled();
-    if observing {
-        obs.record(&Event::SolveStart {
-            solver: "general",
-            rows: m,
-            cols: n,
-            kernel: opts.inner.kernel.name(),
-            parallelism: opts.inner.parallelism.label(),
-            // The outer loop always checks max |Δx| across a projection
-            // step; the inner solves report their own criterion.
-            criterion: "max_abs_change",
-        });
-    }
-    // Outer spans: the general driver contributes no kernel work of its
-    // own, so every span here closes with zero self-counters; the inner
-    // diagonal solves open nested Solve spans through the lent observer
-    // and their counters roll up into the outer Epoch automatically.
-    let spanning = obs.spans_enabled();
-    if spanning {
-        obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
-    }
-    let mut epoch_open = false;
-    let mn = m * n;
     let g_diag = p.g().diagonal();
-    let gamma_dense = DenseMatrix::from_vec(m, n, g_diag.iter().map(|&v| 0.5 * v).collect())?;
-    let gamma = S::from_dense(&gamma_dense)?;
-    let parallel = opts.inner.parallelism.is_parallel();
+    let gamma = DenseMatrix::from_vec(m, n, g_diag.iter().map(|&v| 0.5 * v).collect())?;
+    let (x_init, s, d) = p.initial_feasible();
+    let mut inner = opts.inner.clone();
+    inner.record_trace = opts.record_trace;
+    let step = GeneralStep {
+        p,
+        warm_start_inner: opts.warm_start_inner,
+        count_inner: ctrl.needs_counters(),
+        mu: inner.initial_mu.clone().unwrap_or_else(|| vec![0.0; n]),
+        inner,
+        gamma: S::from_dense(&gamma)?,
+        // A full-pattern conversion keeps every cell, so x.values() stays
+        // the row-major flat layout the projection mat-vec expects.
+        x: S::from_dense(&x_init)?,
+        s,
+        d,
+        g_diag,
+        scratch: Vec::with_capacity(m * n),
+        inner_iterations: 0,
+        inner_work: 0,
+        outer_residual: f64::INFINITY,
+    };
+    let sched = Schedule {
+        kernel: opts.inner.kernel,
+        simd: opts.inner.simd,
+        parallelism: opts.inner.parallelism,
+        // The outer loop always checks max |Δx| across a projection step;
+        // the inner solves report their own criterion.
+        criterion: "max_abs_change",
+        epsilon: opts.outer_epsilon,
+        max_iterations: opts.max_outer,
+        check_every: 1,
+        precision: crate::kernel_simd::Precision::F64,
+        record_trace: opts.record_trace,
+        record_history: false,
+    };
+    epoch::run(step, &sched, obs, ctrl)
+}
 
-    let (x_init, mut s, mut d) = p.initial_feasible();
-    // A full-pattern conversion keeps every cell, so x.values() stays the
-    // row-major flat layout the projection mat-vec expects.
-    let mut x = S::from_dense(&x_init)?;
-    let x0_flat = p.x0().as_slice().to_vec();
+/// The general class on the epoch loop: each epoch is one projection step
+/// (eq. 79) followed by a whole inner diagonal SEA solve.
+struct GeneralStep<'p, S: Storage> {
+    p: &'p GeneralProblem,
+    warm_start_inner: bool,
+    /// Harvest the inner solves' kernel work (the outer work budget).
+    count_inner: bool,
+    /// Options of the inner solves (warm-started across outer epochs).
+    inner: SeaOptions,
+    gamma: S,
+    x: S,
+    s: Vec<f64>,
+    d: Vec<f64>,
+    /// Column multipliers of the latest inner solve.
+    mu: Vec<f64>,
+    g_diag: Vec<f64>,
+    scratch: Vec<f64>,
+    inner_iterations: usize,
+    inner_work: u64,
+    outer_residual: f64,
+}
 
-    let mut trace = opts.record_trace.then(ExecutionTrace::new);
-    let mut inner_iterations = 0usize;
-    let mut outer_iterations = 0usize;
-    let mut converged = false;
-    let mut outer_residual = f64::INFINITY;
-    let mut last_mu = opts
-        .inner
-        .initial_mu
-        .clone()
-        .unwrap_or_else(|| vec![0.0; n]);
-    let mut scratch: Vec<f64> = Vec::with_capacity(mn);
+impl<S: Storage> Step for GeneralStep<'_, S> {
+    type Output = GeneralSolution<S>;
+    const SOLVER: &'static str = "general";
+    const CHECK_PHASE: bool = false;
 
-    let mut inner_opts = opts.inner.clone();
-    inner_opts.record_trace = opts.record_trace;
+    fn shape(&self) -> (usize, usize) {
+        (self.p.m(), self.p.n())
+    }
 
-    for t in 1..=opts.max_outer {
-        outer_iterations = t;
+    fn advance<O: Observer>(&mut self, t: usize, cx: &mut Cx<'_, O>) -> Result<(), SeaError> {
+        let (p, (m, n)) = (self.p, self.shape());
+        let parallel = cx.parallelism.is_parallel();
 
         // ---- Projection step: freeze off-diagonal coupling (eq. 79). ----
         // The dense mat-vec parallelizes over rows of G; a real scheduler
         // hands out coarse chunks, so the phase is reported as up to 256
         // equal chunks rather than mn micro-tasks.
-        let chunks = mn.min(256);
-        if spanning {
-            obs.span_open(SpanKind::Epoch, t as u64, 0);
-            epoch_open = true;
-            obs.span_open(SpanKind::Projection, t as u64, chunks as u64);
+        let chunks = (m * n).min(256);
+        if cx.spanning {
+            cx.obs
+                .span_open(SpanKind::Projection, t as u64, chunks as u64);
         }
-        if observing {
-            obs.record(&Event::PhaseStart {
+        if cx.observing {
+            cx.obs.record(&Event::PhaseStart {
                 label: PhaseLabel::Projection,
                 tasks: chunks,
             });
         }
         let proj_t0 = Instant::now();
-        let q_flat =
-            diagonalized_prior(p.g(), &g_diag, x.values(), &x0_flat, &mut scratch, parallel)?;
+        let scratch = &mut self.scratch;
+        let q_flat = diagonalized_prior(
+            p.g(),
+            &self.g_diag,
+            self.x.values(),
+            p.x0().as_slice(),
+            scratch,
+            parallel,
+        )?;
         let q = S::from_dense(&DenseMatrix::from_vec(m, n, q_flat)?)?;
-
         let spec = match p.totals() {
             GeneralTotalSpec::Fixed { s0, d0 } => TotalSpec::Fixed {
                 s0: s0.clone(),
@@ -536,8 +549,8 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
             GeneralTotalSpec::Elastic { a, s0, b, d0 } => {
                 let a_diag = a.diagonal();
                 let b_diag = b.diagonal();
-                let ps = diagonalized_prior(a, &a_diag, &s, s0, &mut scratch, parallel)?;
-                let pd = diagonalized_prior(b, &b_diag, &d, d0, &mut scratch, parallel)?;
+                let ps = diagonalized_prior(a, &a_diag, &self.s, s0, scratch, parallel)?;
+                let pd = diagonalized_prior(b, &b_diag, &self.d, d0, scratch, parallel)?;
                 TotalSpec::Elastic {
                     alpha: a_diag.iter().map(|&v| 0.5 * v).collect(),
                     s0: ps,
@@ -547,7 +560,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
             }
             GeneralTotalSpec::Balanced { a, s0 } => {
                 let a_diag = a.diagonal();
-                let ps = diagonalized_prior(a, &a_diag, &s, s0, &mut scratch, parallel)?;
+                let ps = diagonalized_prior(a, &a_diag, &self.s, s0, scratch, parallel)?;
                 TotalSpec::Balanced {
                     alpha: a_diag.iter().map(|&v| 0.5 * v).collect(),
                     s0: ps,
@@ -555,172 +568,101 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
             }
         };
         let proj_secs = proj_t0.elapsed().as_secs_f64();
-        if let Some(tr) = trace.as_mut() {
+        if let Some(tr) = cx.trace.as_mut() {
             tr.push(
                 PhaseKind::Projection,
                 vec![proj_secs / chunks as f64; chunks],
             );
         }
-        if observing {
-            obs.record(&Event::PhaseEnd {
+        if cx.observing {
+            cx.obs.record(&Event::PhaseEnd {
                 label: PhaseLabel::Projection,
                 tasks: chunks,
                 seconds: proj_secs,
                 task_seconds: vec![proj_secs / chunks as f64; chunks],
             });
         }
-        if spanning {
-            obs.span_close(&KernelCounters::default());
+        if cx.spanning {
+            cx.obs.span_close(&KernelCounters::default());
         }
 
-        // ---- Inner diagonal SEA solve. -----------------------------------
-        let sub = DiagonalProblem::with_signed_prior(q, gamma.clone(), spec, ZeroPolicy::Free)?;
-        let sol = solve_diagonal_observed(&sub, &inner_opts, &mut *obs)?;
-        if opts.warm_start_inner {
-            inner_opts.initial_mu = Some(sol.mu.clone());
+        // ---- Inner diagonal SEA solve, on this same loop. ----------------
+        let sub =
+            DiagonalProblem::with_signed_prior(q, self.gamma.clone(), spec, ZeroPolicy::Free)?;
+        let mut inner_ctrl = if self.count_inner {
+            SolveControl::counting()
+        } else {
+            SolveControl::passive()
+        };
+        let done = diagonal(&sub, &self.inner, &mut *cx.obs, &mut inner_ctrl)?;
+        let sol = done.output;
+        if self.warm_start_inner {
+            self.inner.initial_mu = Some(sol.mu.clone());
         }
-        last_mu = sol.mu;
-        inner_iterations += sol.stats.iterations;
-        if let Some(tr) = trace.as_mut() {
-            if let Some(inner_tr) = sol.stats.trace {
-                tr.extend(inner_tr);
-            }
+        self.mu = sol.mu;
+        self.inner_iterations += sol.stats.iterations;
+        self.inner_work += done.counters.work();
+        if let (Some(tr), Some(inner_tr)) = (cx.trace.as_mut(), sol.stats.trace) {
+            tr.extend(inner_tr);
         }
 
-        // ---- Outer convergence check. ------------------------------------
-        outer_residual = sol.x.max_abs_diff(&x);
-        x = sol.x;
-        s = sol.s;
-        d = sol.d;
-        if observing {
-            obs.record(&Event::OuterIteration {
+        // ---- Outer change, measured for the loop's check. ----------------
+        self.outer_residual = sol.x.max_abs_diff(&self.x);
+        self.x = sol.x;
+        self.s = sol.s;
+        self.d = sol.d;
+        if cx.observing {
+            cx.obs.record(&Event::OuterIteration {
                 iteration: t,
                 inner_iterations: sol.stats.iterations,
-                outer_residual,
+                outer_residual: self.outer_residual,
             });
         }
-        if spanning {
-            let active_set = x.values().iter().filter(|v| **v > 0.0).count() as u64;
-            obs.telemetry(&TelemetrySample {
-                iteration: t as u64,
-                seconds: start.elapsed().as_secs_f64(),
-                residual: outer_residual,
-                dual_value: f64::NAN,
-                kernel_work: 0,
-                active_set,
-            });
-        }
-        if outer_residual <= opts.outer_epsilon {
-            converged = true;
-            break;
-        }
-
-        // ---- Supervisor hooks (outer-iteration granularity). -------------
-        if ctrl.is_active() {
-            if !vector::all_finite(x.values()) {
-                let mut no_multipliers: [f64; 0] = [];
-                let mut no_multipliers2: [f64; 0] = [];
-                if ctrl
-                    .restore_snapshot(
-                        &mut no_multipliers,
-                        &mut no_multipliers2,
-                        x.values_mut(),
-                        &mut s,
-                        &mut d,
-                    )
-                    .map(|(it, res)| {
-                        outer_iterations = it;
-                        outer_residual = res;
-                    })
-                    .is_some()
-                {
-                    break;
-                }
-                return Err(SeaError::NumericalBreakdown { iteration: t });
-            }
-            ctrl.capture_snapshot(t, outer_residual, &[], &[], x.values(), &s, &d);
-            if ctrl.note_residual(outer_residual) {
-                break;
-            }
-            if ctrl.should_stop(t, None).is_some() {
-                break;
-            }
-        }
-
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-            epoch_open = false;
-        }
-    }
-    if spanning {
-        if epoch_open {
-            obs.span_close(&KernelCounters::default());
-        }
-        obs.span_close(&KernelCounters::default());
+        Ok(())
     }
 
-    // Residuals against this problem's constraints.
-    let residuals = {
-        let mut row_sums = vec![0.0; m];
-        let mut col_sums = vec![0.0; n];
-        x.row_sums_into(&mut row_sums);
-        x.col_sums_into(&mut col_sums);
-        let (st, dt): (&[f64], &[f64]) = match p.totals() {
+    fn iterate(&mut self) -> Iterate<'_> {
+        Iterate {
+            lambda: &mut [],
+            mu: &mut self.mu,
+            x: self.x.values_mut(),
+            s: &mut self.s,
+            d: &mut self.d,
+        }
+    }
+
+    fn residual(&mut self) -> f64 {
+        self.outer_residual
+    }
+
+    fn kernel_work(&self, _own: &PassCounters) -> u64 {
+        self.inner_work
+    }
+
+    fn finish(self, run: Run) -> Result<(GeneralSolution<S>, f64, Option<f64>), SeaError> {
+        let (st, dt): (&[f64], &[f64]) = match self.p.totals() {
             GeneralTotalSpec::Fixed { s0, d0 } => (s0, d0),
-            GeneralTotalSpec::Elastic { .. } => (&s, &d),
-            GeneralTotalSpec::Balanced { .. } => (&s, &s),
+            GeneralTotalSpec::Elastic { .. } => (&self.s, &self.d),
+            GeneralTotalSpec::Balanced { .. } => (&self.s, &self.s),
         };
-        let mut r = Residuals::default();
-        let mut sq = 0.0;
-        for i in 0..m {
-            let v = (row_sums[i] - st[i]).abs();
-            r.row_inf = r.row_inf.max(v);
-            r.rel_row_inf = r.rel_row_inf.max(v / st[i].abs().max(1e-12));
-            sq += v * v;
-        }
-        for j in 0..n {
-            let v = (col_sums[j] - dt[j]).abs();
-            r.col_inf = r.col_inf.max(v);
-            sq += v * v;
-        }
-        r.norm2 = sq.sqrt();
-        r
-    };
-    let objective = p.objective_flat(x.values(), &s, &d);
-
-    if observing {
-        if ctrl.is_active() && !converged {
-            obs.record(&Event::SupervisorStop {
-                iteration: outer_iterations,
-                reason: ctrl
-                    .stop()
-                    .map_or(StopReason::IterationCap.name(), StopReason::name),
-            });
-        }
-        obs.record(&Event::SolveEnd {
-            iterations: outer_iterations,
-            converged,
-            residual: outer_residual,
+        let residuals = Residuals::of(&self.x, st, dt);
+        let objective = self.p.objective_flat(self.x.values(), &self.s, &self.d);
+        let solution = GeneralSolution {
+            x: self.x,
+            s: self.s,
+            d: self.d,
+            mu: self.mu,
+            outer_iterations: run.iterations,
+            inner_iterations: self.inner_iterations,
+            converged: run.converged,
+            outer_residual: run.residual,
             objective,
-            dual_value: None,
-            seconds: start.elapsed().as_secs_f64(),
-        });
+            residuals,
+            elapsed: run.start.elapsed(),
+            trace: run.trace,
+        };
+        Ok((solution, objective, None))
     }
-
-    Ok(GeneralSolution {
-        x,
-        s,
-        d,
-        mu: last_mu,
-        outer_iterations,
-        inner_iterations,
-        converged,
-        outer_residual,
-        objective,
-        residuals,
-        elapsed: start.elapsed(),
-        trace,
-    })
 }
 
 #[cfg(test)]
@@ -924,8 +866,14 @@ mod tests {
         )
         .unwrap();
         let mut obs = sea_observe::VecObserver::new();
-        let sol =
-            solve_general_observed(&p, &GeneralSeaOptions::with_epsilon(1e-9), &mut obs).unwrap();
+        let sol = solve_general_supervised::<DenseMatrix, _>(
+            &p,
+            &GeneralSeaOptions::with_epsilon(1e-9),
+            &SupervisorOptions::default(),
+            &mut obs,
+        )
+        .unwrap()
+        .solution;
         let events = &obs.events;
         assert!(matches!(
             events.first(),
@@ -994,7 +942,10 @@ mod tests {
         .unwrap();
         let opts = GeneralSeaOptions::with_epsilon(1e-9);
         let dense = solve_general(&p, &opts).unwrap();
-        let sparse: GeneralSolution<CsrMatrix> = solve_general_in(&p, &opts).unwrap();
+        let sparse: GeneralSolution<CsrMatrix> =
+            solve_general_supervised(&p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+                .unwrap()
+                .solution;
         assert!(dense.converged && sparse.converged);
         assert_eq!(dense.x.as_slice(), sparse.x.values());
         assert_eq!(dense.outer_iterations, sparse.outer_iterations);

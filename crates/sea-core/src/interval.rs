@@ -5,22 +5,22 @@
 //! `loᵢⱼ ≤ xᵢⱼ ≤ hiᵢⱼ` (interval constraints on the estimates). The SEA
 //! machinery carries over unchanged: each row/column subproblem becomes a
 //! box-bounded continuous quadratic knapsack, still solvable exactly by a
-//! breakpoint sweep ([`crate::knapsack::exact_equilibration_boxed`]).
+//! breakpoint sweep ([`crate::knapsack::exact_equilibration_boxed`]). The
+//! driver is the diagonal sweep on the shared epoch loop with bounds
+//! handed to the passes, so it inherits serial and sharded parallel
+//! passes, the supervisor, and the event/span vocabulary unchanged.
 
+use crate::epoch::{self, Cx, Finished, Iterate, Run, Schedule, Step};
+use crate::equilibrate::Bounds;
 use crate::error::SeaError;
-use crate::kernel_simd::{
-    exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, Precision, SimdMode,
-};
-use crate::knapsack::{EquilibrationResult, EquilibrationScratch, KernelKind, TotalMode};
+use crate::knapsack::TotalMode;
 use crate::problem::Residuals;
-use crate::storage::{RowView, Storage};
-use crate::supervisor::{SolveControl, StopReason, SupervisedBoundedSolution, SupervisorOptions};
-use sea_linalg::simd::{self, SimdLevel};
-use sea_linalg::{vector, DenseMatrix};
-use sea_observe::{
-    Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
-};
-use std::time::{Duration, Instant};
+use crate::solver::{ConvergenceCriterion, SeaOptions, Sweep};
+use crate::storage::Storage;
+use crate::supervisor::{SolveControl, SupervisedBoundedSolution, SupervisorOptions};
+use sea_linalg::DenseMatrix;
+use sea_observe::{NullObserver, Observer};
+use std::time::Duration;
 
 /// A fixed-totals diagonal problem with entry bounds. Generic over
 /// [`Storage`]: with a sparse backend, all four matrices share one support
@@ -218,33 +218,8 @@ pub struct BoundedSolution<S: Storage = DenseMatrix> {
     pub elapsed: Duration,
 }
 
-/// Kernel configuration for the bounded driver: which λ-search kernel,
-/// which SIMD policy, and which arithmetic precision. The default
-/// (`SortScan`, `SimdMode::Off`, `Precision::F64`) is exactly the scalar
-/// oracle the legacy entry points run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedOptions {
-    /// Which equilibration kernel solves the row/column subproblems.
-    pub kernel: KernelKind,
-    /// SIMD policy, resolved once per solve against the running CPU.
-    pub simd: SimdMode,
-    /// Arithmetic precision of the iterates (same phase semantics as
-    /// [`crate::SeaOptions::precision`]: `F32Mixed` polishes in f64 before
-    /// convergence may be declared).
-    pub precision: Precision,
-}
-
-impl Default for BoundedOptions {
-    fn default() -> Self {
-        Self {
-            kernel: KernelKind::SortScan,
-            simd: SimdMode::Off,
-            precision: Precision::F64,
-        }
-    }
-}
-
-/// Solve a bounded problem by SEA with box-bounded exact equilibration.
+/// Solve a bounded problem by SEA with box-bounded exact equilibration
+/// (sort-scan kernel, serial passes, relative row balance).
 ///
 /// # Errors
 /// Propagates kernel failures; returns `converged = false` on hitting
@@ -254,602 +229,150 @@ pub fn solve_bounded<S: Storage>(
     epsilon: f64,
     max_iterations: usize,
 ) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_with(p, epsilon, max_iterations, KernelKind::SortScan)
-}
-
-/// [`solve_bounded`] with a full kernel configuration (kernel choice, SIMD
-/// policy, and precision).
-///
-/// # Errors
-/// Same contract as [`solve_bounded`], plus [`SeaError::SimdUnsupported`]
-/// when `opts.simd` is [`SimdMode::Force`] on a CPU without AVX2.
-pub fn solve_bounded_configured<S: Storage>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    opts: &BoundedOptions,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_inner_warm(
-        p,
+    let opts = SeaOptions {
         epsilon,
         max_iterations,
-        *opts,
-        None,
-        &mut NullObserver,
-        &mut SolveControl::passive(),
-    )
+        ..SeaOptions::default()
+    };
+    Ok(bounded(p, &opts, &mut NullObserver, &mut SolveControl::passive())?.output)
 }
 
-/// [`solve_bounded_supervised_warm`] with a full kernel configuration.
+/// [`solve_bounded`] with full options, an event sink, and the
+/// fault-tolerant supervisor — the bounded class on the same epoch loop as
+/// the diagonal driver (see [`crate::solver::solve_diagonal_supervised`]).
+///
+/// Every [`SupervisorOptions`] knob is honoured; checkpoints are written
+/// with `solver bounded` and resume through `opts.initial_mu` (the row
+/// pass recomputes `λ` from `μ`). Of the [`SeaOptions`], the kernel, SIMD
+/// and precision choices, the stopping criterion and cadence, parallelism
+/// and shard size, and the warm start are honoured.
 ///
 /// # Errors
-/// Same contract as [`solve_bounded_supervised_warm`], plus
-/// [`SeaError::SimdUnsupported`] when SIMD is forced without AVX2 support.
-pub fn solve_bounded_supervised_configured<S: Storage, O: Observer>(
+/// Same contract as [`solve_bounded`], plus:
+/// * [`SeaError::Unsupported`] for `record_trace`, `record_history` and
+///   `multiplier_bound`, which the bounded class cannot express;
+/// * [`SeaError::Shape`] when `initial_mu` has the wrong length;
+/// * [`SeaError::SimdUnsupported`] when SIMD is forced without AVX2.
+///
+/// Numerical breakdown after a certified snapshot returns that snapshot
+/// with [`StopReason::Breakdown`](crate::StopReason::Breakdown) instead of
+/// an error.
+pub fn solve_bounded_supervised<S: Storage, O: Observer + Send>(
     p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    opts: &BoundedOptions,
-    initial_mu: Option<&[f64]>,
+    opts: &SeaOptions,
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedBoundedSolution<S>, SeaError> {
-    let mut ctrl = SolveControl::active(sup);
-    let solution = solve_bounded_inner_warm(
-        p,
-        epsilon,
-        max_iterations,
-        *opts,
-        initial_mu,
-        obs,
-        &mut ctrl,
-    )?;
-    let stop = if solution.converged {
-        StopReason::Converged
-    } else {
-        ctrl.stop().unwrap_or(StopReason::IterationCap)
-    };
-    Ok(SupervisedBoundedSolution { solution, stop })
-}
-
-/// [`solve_bounded`] with an explicit equilibration kernel choice.
-///
-/// # Errors
-/// Same contract as [`solve_bounded`].
-pub fn solve_bounded_with<S: Storage>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_observed(p, epsilon, max_iterations, kernel, &mut NullObserver)
-}
-
-/// [`solve_bounded_with`] with an event sink (see
-/// [`crate::solver::solve_diagonal_observed`]).
-///
-/// The bounded driver is serial, so phase events carry empty `task_seconds`
-/// (consumers fall back to the phase total) and kernel counters are read
-/// straight from the single scratch workspace.
-///
-/// # Errors
-/// Same contract as [`solve_bounded`].
-pub fn solve_bounded_observed<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    obs: &mut O,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_inner(
-        p,
-        epsilon,
-        max_iterations,
-        kernel,
-        obs,
-        &mut SolveControl::passive(),
-    )
-}
-
-/// [`solve_bounded_observed`] under the fault-tolerant supervisor: budget,
-/// cancellation, stagnation, and breakdown watchdogs are checked once per
-/// iteration (the bounded driver is serial; worker faults don't apply).
-///
-/// # Errors
-/// Same contract as [`solve_bounded`], except numerical breakdown after a
-/// certified snapshot returns that snapshot with
-/// [`StopReason::Breakdown`] instead of an error.
-pub fn solve_bounded_supervised<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    sup: &SupervisorOptions,
-    obs: &mut O,
-) -> Result<SupervisedBoundedSolution<S>, SeaError> {
-    solve_bounded_supervised_warm(p, epsilon, max_iterations, kernel, None, sup, obs)
-}
-
-/// [`solve_bounded_supervised`] seeded with column multipliers from a
-/// previous solve of a related problem. The row pass recomputes `λ` from
-/// `μ`, so `μ` alone resumes/warm-starts a bounded solve — the same
-/// mechanism the diagonal driver exposes via `SeaOptions::initial_mu` and
-/// that checkpoints use.
-///
-/// # Errors
-/// Same contract as [`solve_bounded`], plus [`SeaError::Shape`] when
-/// `initial_mu` has the wrong length.
-pub fn solve_bounded_supervised_warm<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    initial_mu: Option<&[f64]>,
-    sup: &SupervisorOptions,
-    obs: &mut O,
-) -> Result<SupervisedBoundedSolution<S>, SeaError> {
-    let mut ctrl = SolveControl::active(sup);
-    let solution = solve_bounded_inner_warm(
-        p,
-        epsilon,
-        max_iterations,
-        BoundedOptions {
-            kernel,
-            ..BoundedOptions::default()
-        },
-        initial_mu,
-        obs,
-        &mut ctrl,
-    )?;
-    let stop = if solution.converged {
-        StopReason::Converged
-    } else {
-        ctrl.stop().unwrap_or(StopReason::IterationCap)
-    };
-    Ok(SupervisedBoundedSolution { solution, stop })
-}
-
-/// Run the configured boxed kernel on one subproblem's gathered slices:
-/// f32 λ-search first during the mixed-precision phase (falling back to
-/// the f64 kernel when it cannot produce a usable multiplier), the
-/// SIMD-dispatched f64 kernel otherwise.
-#[allow(clippy::too_many_arguments)] // kernel inputs + output + workspace
-fn boxed_kernel(
-    kernel: KernelKind,
-    level: SimdLevel,
-    f32_phase: bool,
-    q: &[f64],
-    g: &[f64],
-    sh: &[f64],
-    l: &[f64],
-    h: &[f64],
-    mode: TotalMode,
-    x_row: &mut [f64],
-    scratch: &mut EquilibrationScratch,
-) -> Result<EquilibrationResult, SeaError> {
-    // As in the plain dispatcher: the f32 stand-in is a sort-scan, so it
-    // only pays off under the sort-scan kernel; quickselect solves route
-    // straight to the f64 kernel.
-    if f32_phase && kernel == KernelKind::SortScan {
-        if let Some(r) = exact_equilibration_boxed_f32(level, q, g, sh, l, h, mode, x_row, scratch)?
-        {
-            return Ok(r);
-        }
-    }
-    exact_equilibration_boxed_simd(level, kernel, q, g, sh, l, h, mode, x_row, scratch)
-}
-
-/// Solve one box-bounded subproblem in row orientation: dense rows go to
-/// the kernel whole; a sparse row's stored support *is* the subproblem, with
-/// only the shift vector gathered into `sh_buf`.
-#[allow(clippy::too_many_arguments)] // one quadruple + one scalar per kernel input
-fn boxed_task<S: Storage>(
-    kernel: KernelKind,
-    level: SimdLevel,
-    f32_phase: bool,
-    (prior, gamma, lo, hi): (&S, &S, &S, &S),
-    shift: &[f64],
-    side: &'static str,
-    i: usize,
-    total: f64,
-    x: &mut S,
-    sh_buf: &mut Vec<f64>,
-    scratch: &mut EquilibrationScratch,
-) -> Result<f64, SeaError> {
-    let mode = TotalMode::Fixed { total };
-    match (
-        prior.row_view(i),
-        gamma.row_view(i),
-        lo.row_view(i),
-        hi.row_view(i),
-    ) {
-        (RowView::Dense(q), RowView::Dense(g), RowView::Dense(l), RowView::Dense(h)) => {
-            let r = boxed_kernel(
-                kernel,
-                level,
-                f32_phase,
-                q,
-                g,
-                shift,
-                l,
-                h,
-                mode,
-                x.row_values_mut(i),
-                scratch,
-            )?;
-            Ok(r.lambda)
-        }
-        (
-            RowView::Indexed { idx, vals: q },
-            RowView::Indexed { vals: g, .. },
-            RowView::Indexed { vals: l, .. },
-            RowView::Indexed { vals: h, .. },
-        ) => {
-            if idx.is_empty() {
-                // Fully-pinned (empty) sparse subproblem: every entry is a
-                // structural zero, so only a zero total is attainable.
-                scratch.stats.subproblems += 1;
-                if total.abs() > 1e-9 {
-                    return Err(SeaError::InfeasibleSubproblem { side, index: i });
-                }
-                return Ok(0.0);
-            }
-            sh_buf.clear();
-            sh_buf.resize(idx.len(), 0.0);
-            simd::gather(level, shift, idx, sh_buf);
-            let r = boxed_kernel(
-                kernel,
-                level,
-                f32_phase,
-                q,
-                g,
-                sh_buf,
-                l,
-                h,
-                mode,
-                x.row_values_mut(i),
-                scratch,
-            )?;
-            Ok(r.lambda)
-        }
-        _ => Err(SeaError::PatternMismatch {
-            context: "bounded pass inputs (mixed row views)",
-        }),
-    }
-}
-
-fn solve_bounded_inner<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    obs: &mut O,
-    ctrl: &mut SolveControl<'_>,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_inner_warm(
-        p,
-        epsilon,
-        max_iterations,
-        BoundedOptions {
-            kernel,
-            ..BoundedOptions::default()
-        },
-        None,
-        obs,
-        ctrl,
-    )
-}
-
-fn solve_bounded_inner_warm<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    cfg: BoundedOptions,
-    initial_mu: Option<&[f64]>,
-    obs: &mut O,
-    ctrl: &mut SolveControl<'_>,
-) -> Result<BoundedSolution<S>, SeaError> {
-    let kernel = cfg.kernel;
-    let simd_level = cfg.simd.resolve()?;
-    // Mixed-precision phase control, mirroring the diagonal driver: the
-    // f32 phase hands over to a full-f64 polish epoch on reaching ε or on
-    // stagnation, and only the polish may declare convergence.
-    let mut f32_phase = cfg.precision != Precision::F64;
-    let mut prev_rel = f64::INFINITY;
-    let mut stagnant_checks = 0u32;
-    let start = Instant::now();
-    let (m, n) = (p.m(), p.n());
-    let x0_t = p.x0.transposed()?;
-    let gamma_t = p.gamma.transposed()?;
-    let lo_t = p.lo.transposed()?;
-    let hi_t = p.hi.transposed()?;
-    let observing = obs.enabled();
-    if observing {
-        obs.record(&Event::SolveStart {
-            solver: "bounded",
-            rows: m,
-            cols: n,
-            kernel: kernel.name(),
-            parallelism: "serial".to_string(),
-            criterion: "relative_row_balance",
-        });
-    }
-    // The bounded driver is fully serial, so pass spans carry their own
-    // kernel counters directly: a snapshot delta of the cumulative scratch
-    // stats brackets each pass, and there are no shard leaves to replay.
-    let spanning = obs.spans_enabled();
-    if spanning {
-        obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
-    }
-    let mut epoch_open = false;
-
-    let mut lambda = vec![0.0; m];
-    let mut mu = match initial_mu {
-        None => vec![0.0; n],
-        Some(mu0) => {
-            if mu0.len() != n {
-                return Err(SeaError::Shape {
-                    context: "initial_mu",
-                    expected: n,
-                    actual: mu0.len(),
-                });
-            }
-            mu0.to_vec()
-        }
-    };
-    let mut x = p.x0.zeros_like()?;
-    let mut x_t = x0_t.zeros_like()?;
-    let mut scratch = EquilibrationScratch::new();
-    let mut sh_buf: Vec<f64> = Vec::new();
-    let mut row_sums_buf = vec![0.0; m];
-
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut rel = f64::INFINITY;
-    for t in 1..=max_iterations.max(1) {
-        iterations = t;
-        if spanning {
-            obs.span_open(SpanKind::Epoch, t as u64, 0);
-            epoch_open = true;
-            obs.span_open(SpanKind::RowPass, t as u64, m as u64);
-        }
-        let pass_c0 = scratch.stats;
-        if observing {
-            obs.record(&Event::PhaseStart {
-                label: PhaseLabel::RowEquilibration,
-                tasks: m,
-            });
-        }
-        let phase_t0 = observing.then(Instant::now);
-        for i in 0..m {
-            lambda[i] = boxed_task(
-                kernel,
-                simd_level,
-                f32_phase,
-                (&p.x0, &p.gamma, &p.lo, &p.hi),
-                &mu,
-                "row",
-                i,
-                p.s0[i],
-                &mut x,
-                &mut sh_buf,
-                &mut scratch,
-            )?;
-        }
-        if let Some(t0) = phase_t0 {
-            obs.record(&Event::PhaseEnd {
-                label: PhaseLabel::RowEquilibration,
-                tasks: m,
-                seconds: t0.elapsed().as_secs_f64(),
-                task_seconds: Vec::new(),
-            });
-            obs.record(&Event::PhaseStart {
-                label: PhaseLabel::ColumnEquilibration,
-                tasks: n,
-            });
-        }
-        if spanning {
-            obs.span_close(&scratch.stats.delta_from(pass_c0));
-            obs.span_open(SpanKind::ColPass, t as u64, n as u64);
-        }
-        let pass_c0 = scratch.stats;
-        let phase_t0 = observing.then(Instant::now);
-        for j in 0..n {
-            mu[j] = boxed_task(
-                kernel,
-                simd_level,
-                f32_phase,
-                (&x0_t, &gamma_t, &lo_t, &hi_t),
-                &lambda,
-                "column",
-                j,
-                p.d0[j],
-                &mut x_t,
-                &mut sh_buf,
-                &mut scratch,
-            )?;
-        }
-        if let Some(t0) = phase_t0 {
-            obs.record(&Event::PhaseEnd {
-                label: PhaseLabel::ColumnEquilibration,
-                tasks: n,
-                seconds: t0.elapsed().as_secs_f64(),
-                task_seconds: Vec::new(),
-            });
-            obs.record(&Event::PhaseStart {
-                label: PhaseLabel::ConvergenceCheck,
-                tasks: 1,
-            });
-        }
-        if spanning {
-            obs.span_close(&scratch.stats.delta_from(pass_c0));
-            obs.span_open(SpanKind::Check, t as u64, 1);
-        }
-        // Relative row balance after the column pass.
-        let check_t0 = Instant::now();
-        x_t.col_sums_into(&mut row_sums_buf);
-        rel = row_sums_buf
-            .iter()
-            .zip(&p.s0)
-            .map(|(r, s)| (r - s).abs() / s.abs().max(1e-12))
-            .fold(0.0_f64, f64::max);
-        if observing {
-            let check_secs = check_t0.elapsed().as_secs_f64();
-            obs.record(&Event::PhaseEnd {
-                label: PhaseLabel::ConvergenceCheck,
-                tasks: 1,
-                seconds: check_secs,
-                task_seconds: vec![check_secs],
-            });
-            obs.record(&Event::ConvergenceCheck {
-                iteration: t,
-                residual: rel,
-                dual_value: None,
-                criterion: "relative_row_balance",
-            });
-        }
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-            let active_set = x_t.values().iter().filter(|v| **v > 0.0).count() as u64;
-            obs.telemetry(&TelemetrySample {
-                iteration: t as u64,
-                seconds: start.elapsed().as_secs_f64(),
-                residual: rel,
-                dual_value: f64::NAN,
-                kernel_work: scratch.stats.work(),
-                active_set,
-            });
-        }
-        let f32_iterating = f32_phase && cfg.precision == Precision::F32Mixed;
-        if rel <= epsilon {
-            if f32_iterating {
-                // Hand over to the f64 polish epoch; convergence may only
-                // be declared from full-precision iterates.
-                f32_phase = false;
-            } else {
-                converged = true;
-                break;
-            }
-        } else if f32_iterating {
-            if rel > prev_rel * 0.99 {
-                stagnant_checks += 1;
-                if stagnant_checks >= 3 {
-                    f32_phase = false;
-                }
-            } else {
-                stagnant_checks = 0;
-            }
-        }
-        prev_rel = rel;
-
-        // ---- Supervisor hooks (per iteration). ---------------------------
-        if ctrl.is_active() {
-            ctrl.inject_faults(t, &mut lambda);
-            let finite = vector::all_finite(&lambda)
-                && vector::all_finite(&mu)
-                && vector::all_finite(x_t.values());
-            if !finite {
-                let mut empty_s: [f64; 0] = [];
-                let mut empty_d: [f64; 0] = [];
-                if ctrl
-                    .restore_snapshot(
-                        &mut lambda,
-                        &mut mu,
-                        x_t.values_mut(),
-                        &mut empty_s,
-                        &mut empty_d,
-                    )
-                    .map(|(it, res)| {
-                        iterations = it;
-                        rel = res;
-                    })
-                    .is_some()
-                {
-                    break;
-                }
-                return Err(SeaError::NumericalBreakdown { iteration: t });
-            }
-            ctrl.capture_snapshot(t, rel, &lambda, &mu, x_t.values(), &[], &[]);
-            if ctrl.note_residual(rel) {
-                break;
-            }
-            if ctrl.should_stop(t, None).is_some() {
-                break;
-            }
-        }
-
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-            epoch_open = false;
-        }
-    }
-    if spanning {
-        if epoch_open {
-            obs.span_close(&KernelCounters::default());
-        }
-        obs.span_close(&KernelCounters::default());
-    }
-
-    let x_final = x_t.transposed()?;
-    let mut row_sums = vec![0.0; m];
-    let mut col_sums = vec![0.0; n];
-    x_final.row_sums_into(&mut row_sums);
-    x_final.col_sums_into(&mut col_sums);
-    let mut residuals = Residuals::default();
-    let mut sq = 0.0;
-    for i in 0..m {
-        let v = (row_sums[i] - p.s0[i]).abs();
-        residuals.row_inf = residuals.row_inf.max(v);
-        residuals.rel_row_inf = residuals.rel_row_inf.max(v / p.s0[i].abs().max(1e-12));
-        sq += v * v;
-    }
-    for j in 0..n {
-        let v = (col_sums[j] - p.d0[j]).abs();
-        residuals.col_inf = residuals.col_inf.max(v);
-        sq += v * v;
-    }
-    residuals.norm2 = sq.sqrt();
-    let objective = p.objective(&x_final);
-
-    if observing {
-        if ctrl.is_active() && !converged {
-            obs.record(&Event::SupervisorStop {
-                iteration: iterations,
-                reason: ctrl
-                    .stop()
-                    .map_or(StopReason::IterationCap.name(), StopReason::name),
-            });
-        }
-        if !scratch.stats.is_empty() {
-            obs.record(&Event::KernelCounters {
-                counters: scratch.stats,
-            });
-        }
-        obs.record(&Event::SolveEnd {
-            iterations,
-            converged,
-            residual: rel,
-            objective,
-            dual_value: None,
-            seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-
-    Ok(BoundedSolution {
-        x: x_final,
-        lambda,
-        mu,
-        iterations,
-        converged,
-        residuals,
-        objective,
-        elapsed: start.elapsed(),
+    opts.parallelism.run(move || {
+        let done = bounded(p, opts, obs, &mut SolveControl::active(sup))?;
+        Ok(SupervisedBoundedSolution {
+            solution: done.output,
+            stop: done.stop,
+        })
     })
+}
+
+fn bounded<S: Storage, O: Observer>(
+    p: &BoundedProblem<S>,
+    opts: &SeaOptions,
+    obs: &mut O,
+    ctrl: &mut SolveControl<'_>,
+) -> Result<Finished<BoundedSolution<S>>, SeaError> {
+    let refused = if opts.record_trace {
+        Some("record_trace")
+    } else if opts.record_history {
+        Some("record_history")
+    } else if opts.multiplier_bound.is_some() {
+        Some("multiplier_bound")
+    } else {
+        None
+    };
+    if let Some(option) = refused {
+        return Err(SeaError::Unsupported {
+            driver: "bounded",
+            option,
+        });
+    }
+    let criterion = opts
+        .criterion
+        .unwrap_or(ConvergenceCriterion::RelativeRowBalance);
+    let step = BoundedStep {
+        p,
+        sweep: Sweep::new(&p.x0, &p.gamma, opts, criterion)?,
+        lo_t: p.lo.transposed()?,
+        hi_t: p.hi.transposed()?,
+    };
+    epoch::run(step, &Schedule::of(opts, criterion.name()), obs, ctrl)
+}
+
+/// The bounded class on the epoch loop: the diagonal sweep with every
+/// subproblem a box-bounded knapsack.
+struct BoundedStep<'p, S: Storage> {
+    p: &'p BoundedProblem<S>,
+    sweep: Sweep<S>,
+    lo_t: S,
+    hi_t: S,
+}
+
+impl<S: Storage> Step for BoundedStep<'_, S> {
+    type Output = BoundedSolution<S>;
+    const SOLVER: &'static str = "bounded";
+
+    fn shape(&self) -> (usize, usize) {
+        (self.p.m(), self.p.n())
+    }
+
+    fn advance<O: Observer>(&mut self, _t: usize, cx: &mut Cx<'_, O>) -> Result<(), SeaError> {
+        let p = self.p;
+        self.sweep.sweep(
+            cx,
+            (&p.x0, &p.gamma),
+            [None, None],
+            [
+                Some(Bounds {
+                    lo: &p.lo,
+                    hi: &p.hi,
+                }),
+                Some(Bounds {
+                    lo: &self.lo_t,
+                    hi: &self.hi_t,
+                }),
+            ],
+            |row, _, i| TotalMode::Fixed {
+                total: if row { p.s0[i] } else { p.d0[i] },
+            },
+        )
+    }
+
+    fn iterate(&mut self) -> Iterate<'_> {
+        self.sweep.iterate()
+    }
+
+    fn residual(&mut self) -> f64 {
+        self.sweep.residual(Some(&self.p.s0))
+    }
+
+    fn finish(self, run: Run) -> Result<(BoundedSolution<S>, f64, Option<f64>), SeaError> {
+        let x = self.sweep.x_t.transposed()?;
+        let objective = self.p.objective(&x);
+        let solution = BoundedSolution {
+            residuals: Residuals::of(&x, &self.p.s0, &self.p.d0),
+            x,
+            lambda: self.sweep.lambda,
+            mu: self.sweep.mu,
+            iterations: run.iterations,
+            converged: run.converged,
+            objective,
+            elapsed: run.start.elapsed(),
+        };
+        Ok((solution, objective, None))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::RowView;
 
     fn problem() -> BoundedProblem {
         let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
@@ -1001,11 +524,18 @@ mod tests {
 
     #[test]
     fn bounded_observer_reports_clamps() {
+        use crate::supervisor::StopReason;
+        use sea_observe::Event;
         let p = problem();
         let mut obs = sea_observe::VecObserver::new();
-        let sol =
-            solve_bounded_observed(&p, 1e-10, 10_000, KernelKind::SortScan, &mut obs).unwrap();
-        assert!(sol.converged);
+        let sol = solve_bounded_supervised(
+            &p,
+            &SeaOptions::with_epsilon(1e-10),
+            &SupervisorOptions::default(),
+            &mut obs,
+        )
+        .unwrap();
+        assert_eq!(sol.stop, StopReason::Converged);
         assert!(matches!(
             obs.events.first(),
             Some(Event::SolveStart {
@@ -1018,7 +548,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, Event::ConvergenceCheck { .. }))
             .count();
-        assert_eq!(checks, sol.iterations);
+        assert_eq!(checks, sol.solution.iterations);
         let counters = obs
             .events
             .iter()
@@ -1027,49 +557,29 @@ mod tests {
                 _ => None,
             })
             .expect("kernel counters event missing");
-        assert_eq!(counters.subproblems, (4 * sol.iterations) as u64);
+        assert_eq!(counters.subproblems, (4 * sol.solution.iterations) as u64);
     }
 
     #[test]
     fn warm_start_reproduces_same_solution_and_validates_length() {
+        use crate::supervisor::StopReason;
         let p = problem();
         let sup = SupervisorOptions::default();
-        let cold = solve_bounded_supervised_warm(
-            &p,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
-            None,
-            &sup,
-            &mut sea_observe::NullObserver,
-        )
-        .unwrap();
+        let solve = |initial_mu: Option<Vec<f64>>| {
+            let opts = SeaOptions {
+                initial_mu,
+                ..SeaOptions::with_epsilon(1e-10)
+            };
+            solve_bounded_supervised(&p, &opts, &sup, &mut NullObserver)
+        };
+        let cold = solve(None).unwrap();
         assert_eq!(cold.stop, StopReason::Converged);
-        let warm = solve_bounded_supervised_warm(
-            &p,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
-            Some(&cold.solution.mu),
-            &sup,
-            &mut sea_observe::NullObserver,
-        )
-        .unwrap();
+        let warm = solve(Some(cold.solution.mu.clone())).unwrap();
         assert_eq!(warm.stop, StopReason::Converged);
         assert!(warm.solution.iterations <= cold.solution.iterations);
         assert!(warm.solution.x.max_abs_diff(&cold.solution.x) < 1e-8);
-
-        let err = solve_bounded_supervised_warm(
-            &p,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
-            Some(&[0.0; 5]),
-            &sup,
-            &mut sea_observe::NullObserver,
-        );
         assert!(matches!(
-            err,
+            solve(Some(vec![0.0; 5])),
             Err(SeaError::Shape {
                 context: "initial_mu",
                 ..

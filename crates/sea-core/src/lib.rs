@@ -19,24 +19,31 @@
 //!   scalar oracle by construction (elementwise SIMD, scalar-order
 //!   reductions).
 //! * [`equilibrate`] — row/column equilibration passes (serial and
-//!   parallel) that fan the kernel out over a matrix.
-//! * [`solver`] — [`solve_diagonal`]: the diagonal SEA driver (§3.1).
+//!   parallel, optionally box-bounded) that fan the kernel out over a
+//!   matrix.
+//! * `epoch` (crate-private) — the one epoch loop every driver runs on: it
+//!   owns events, spans, the watchdog, convergence checks, telemetry, and
+//!   the supervisor's budgets and checkpoints; a per-class step owns one
+//!   epoch of mathematics.
+//! * [`solver`] — [`solve_diagonal`]: the diagonal SEA driver (§3.1) and
+//!   the row/column sweep it shares with the bounded class.
 //! * [`storage`] — the [`Storage`] abstraction every driver is generic
 //!   over: row-major dense (`DenseMatrix`) and CSR support-only
 //!   (`CsrMatrix`) problem storage with bitwise-identical solves.
 //! * [`error`] — [`SeaError`], the typed failure vocabulary (no panics in
 //!   library code).
 //! * [`general`] — [`GeneralProblem`] and [`solve_general`]: the
-//!   projection/diagonalization outer loop for dense `A`, `B`, `G` (§3.2).
+//!   projection/diagonalization step for dense `A`, `B`, `G` (§3.2), each
+//!   epoch an inner diagonal solve on the same loop.
 //! * [`dual`] — `ζ₁/ζ₂/ζ₃`, gradients, weak duality.
 //! * [`theory`] — curvature and iteration bounds (eq. 58–64, 77).
 //! * [`components`] — support-graph components and the Modified Algorithm.
 //! * [`parallel`], [`trace`] — execution control and phase traces for the
 //!   scheduling simulator.
 //! * [`interval`] — interval/box-constrained extension (Harrigan–Buchanan,
-//!   Ohuchi–Kaji).
-//! * [`observe`] — glue to the `sea-observe` event schema: every solver has
-//!   an `*_observed` variant that streams typed lifecycle events to an
+//!   Ohuchi–Kaji): [`solve_bounded`] and [`solve_bounded_supervised`].
+//! * [`observe`] — glue to the `sea-observe` event schema: the observed
+//!   and supervised entry points stream typed lifecycle events to an
 //!   [`Observer`] sink, and recorded logs convert back to
 //!   [`ExecutionTrace`]s.
 //! * [`verify`] — first-principles KKT/duality verification of computed
@@ -76,6 +83,7 @@
 
 pub mod components;
 pub mod dual;
+mod epoch;
 pub mod equilibrate;
 pub mod error;
 pub mod general;
@@ -96,15 +104,10 @@ pub mod weights;
 pub use equilibrate::PassCounters;
 pub use error::SeaError;
 pub use general::{
-    solve_general, solve_general_in, solve_general_observed, solve_general_supervised,
-    solve_general_supervised_in, GeneralProblem, GeneralSeaOptions, GeneralSolution,
+    solve_general, solve_general_supervised, GeneralProblem, GeneralSeaOptions, GeneralSolution,
     GeneralTotalSpec,
 };
-pub use interval::{
-    solve_bounded, solve_bounded_configured, solve_bounded_observed, solve_bounded_supervised,
-    solve_bounded_supervised_configured, solve_bounded_supervised_warm, solve_bounded_with,
-    BoundedOptions, BoundedProblem,
-};
+pub use interval::{solve_bounded, solve_bounded_supervised, BoundedProblem};
 pub use kernel_simd::{
     exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,
     exact_equilibration_simd, Precision, SimdMode,

@@ -90,6 +90,32 @@ pub struct Residuals {
     pub norm2: f64,
 }
 
+impl Residuals {
+    /// Residuals of `x`'s margins against row targets `s` and column
+    /// targets `d`.
+    pub fn of<S: Storage>(x: &S, s: &[f64], d: &[f64]) -> Residuals {
+        let mut row_sums = vec![0.0; x.rows()];
+        let mut col_sums = vec![0.0; x.cols()];
+        x.row_sums_into(&mut row_sums);
+        x.col_sums_into(&mut col_sums);
+        let mut r = Residuals::default();
+        let mut sq = 0.0;
+        for i in 0..row_sums.len() {
+            let v = (row_sums[i] - s[i]).abs();
+            r.row_inf = r.row_inf.max(v);
+            r.rel_row_inf = r.rel_row_inf.max(v / s[i].abs().max(1e-12));
+            sq += v * v;
+        }
+        for j in 0..col_sums.len() {
+            let v = (col_sums[j] - d[j]).abs();
+            r.col_inf = r.col_inf.max(v);
+            sq += v * v;
+        }
+        r.norm2 = sq.sqrt();
+        r
+    }
+}
+
 /// A diagonal quadratic constrained matrix problem, generic over the
 /// storage backend (dense by default; CSR for sparse instances).
 ///
@@ -432,30 +458,12 @@ impl<S: Storage> DiagonalProblem<S> {
     /// and balanced problems the targets are the supplied `s`/`d` (`s`
     /// doubles as the column target in the balanced case).
     pub fn residuals(&self, x: &S, s: &[f64], d: &[f64]) -> Residuals {
-        let mut row_sums = vec![0.0; x.rows()];
-        let mut col_sums = vec![0.0; x.cols()];
-        x.row_sums_into(&mut row_sums);
-        x.col_sums_into(&mut col_sums);
         let (s_target, d_target): (&[f64], &[f64]) = match &self.totals {
             TotalSpec::Fixed { s0, d0 } => (s0, d0),
             TotalSpec::Elastic { .. } => (s, d),
             TotalSpec::Balanced { .. } => (s, s),
         };
-        let mut r = Residuals::default();
-        let mut sq = 0.0;
-        for i in 0..row_sums.len() {
-            let v = (row_sums[i] - s_target[i]).abs();
-            r.row_inf = r.row_inf.max(v);
-            r.rel_row_inf = r.rel_row_inf.max(v / s_target[i].abs().max(1e-12));
-            sq += v * v;
-        }
-        for j in 0..col_sums.len() {
-            let v = (col_sums[j] - d_target[j]).abs();
-            r.col_inf = r.col_inf.max(v);
-            sq += v * v;
-        }
-        r.norm2 = sq.sqrt();
-        r
+        Residuals::of(x, s_target, d_target)
     }
 
     /// Re-express this problem over dense storage (structural zeros in a

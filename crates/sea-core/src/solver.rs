@@ -18,30 +18,19 @@ use crate::components::{
     normalize_multipliers_storage, shard_boundaries, storage_support_components,
 };
 use crate::dual;
-use crate::equilibrate::{
-    equilibration_pass, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
-};
+use crate::epoch::{self, Cx, Finished, Iterate, Operands, Run, Schedule, Step};
+use crate::equilibrate::{Bounds, DEFAULT_BLOCK_ROWS};
 use crate::error::SeaError;
 use crate::kernel_simd::{Precision, SimdMode};
 use crate::knapsack::{KernelKind, TotalMode};
 use crate::parallel::Parallelism;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::storage::Storage;
-use crate::supervisor::{SolveControl, StopReason, SupervisedSolution, SupervisorOptions};
-use crate::trace::{ExecutionTrace, PhaseKind};
-use sea_linalg::{vector, DenseMatrix};
-use sea_observe::{
-    Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
-};
-use std::time::{Duration, Instant};
-
-/// Telemetry cadence: one sample every this many convergence checks.
-/// The sample payload (dual value ζ and the active-set census) costs a
-/// full O(nnz) sweep each, so emitting it on every check would blow the
-/// span-profiling overhead budget; the residual itself is still checked
-/// at the configured `check_every`, and the profiler's adaptive stride
-/// decimates the stream further on long solves.
-const TELEMETRY_EVERY_CHECKS: u64 = 8;
+use crate::supervisor::{SolveControl, SupervisedSolution, SupervisorOptions};
+use crate::trace::ExecutionTrace;
+use sea_linalg::DenseMatrix;
+use sea_observe::{Event, NullObserver, Observer, PhaseLabel};
+use std::time::Duration;
 
 /// Stopping rules. The paper uses [`MaxAbsChange`](Self::MaxAbsChange) for
 /// the unknown-totals class (§3.1.1 Step 3) and relative row balance for
@@ -152,7 +141,7 @@ impl SeaOptions {
         }
     }
 
-    fn effective_criterion(&self, spec: &TotalSpec) -> ConvergenceCriterion {
+    pub(crate) fn effective_criterion(&self, spec: &TotalSpec) -> ConvergenceCriterion {
         self.criterion.unwrap_or(match spec {
             TotalSpec::Fixed { .. } => ConvergenceCriterion::RelativeRowBalance,
             TotalSpec::Elastic { .. } => ConvergenceCriterion::MaxAbsChange,
@@ -217,7 +206,7 @@ pub struct Solution<S: Storage = DenseMatrix> {
 ///
 /// # Errors
 /// * [`SeaError::InfeasibleSubproblem`] if a structural-zero row/column has
-///   a positive fixed total.
+///   a nonzero fixed total.
 /// * [`SeaError::NumericalBreakdown`] if the iterates become non-finite.
 pub fn solve_diagonal<S: Storage>(
     p: &DiagonalProblem<S>,
@@ -242,7 +231,7 @@ pub fn solve_diagonal_observed<S: Storage, O: Observer + Send>(
     obs: &mut O,
 ) -> Result<Solution<S>, SeaError> {
     opts.parallelism
-        .run(move || solve_diagonal_inner(p, opts, obs, &mut SolveControl::passive()))
+        .run(move || Ok(diagonal(p, opts, obs, &mut SolveControl::passive())?.output))
 }
 
 /// [`solve_diagonal_observed`] under a fault-tolerant supervisor.
@@ -250,9 +239,10 @@ pub fn solve_diagonal_observed<S: Storage, O: Observer + Send>(
 /// The supervisor enforces the budget, watches for cancellation, stagnation
 /// and numerical breakdown, writes crash-safe checkpoints, and falls back
 /// per-subproblem from quickselect to sort-scan on kernel pathology. The
-/// contract is: either `Ok` with a typed [`StopReason`] and a KKT-residual
-/// certificate for the returned (possibly partial) iterate, or a typed
-/// [`SeaError`] — never a panic or a silently wrong answer.
+/// contract is: either `Ok` with a typed [`StopReason`](crate::StopReason)
+/// and a KKT-residual certificate for the returned (possibly partial)
+/// iterate, or a typed [`SeaError`] — never a panic or a silently wrong
+/// answer.
 ///
 /// # Errors
 /// Same validation errors as [`solve_diagonal`], plus
@@ -297,16 +287,11 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 ) -> Result<SupervisedSolution<S>, SeaError> {
     opts.parallelism.run(move || {
         let mut ctrl = SolveControl::active(sup);
-        let solution = solve_diagonal_inner(p, opts, obs, &mut ctrl)?;
-        let stop = if solution.stats.converged {
-            StopReason::Converged
-        } else {
-            ctrl.stop().unwrap_or(StopReason::IterationCap)
-        };
-        let certificate = crate::verify::verify_solution(p, &solution);
+        let done = diagonal(p, opts, obs, &mut ctrl)?;
+        let certificate = crate::verify::verify_solution(p, &done.output);
         Ok(SupervisedSolution {
-            solution,
-            stop,
+            solution: done.output,
+            stop: done.stop,
             certificate,
             kernel_fallbacks: ctrl.fallbacks,
             checkpoint_error: ctrl.take_checkpoint_error(),
@@ -314,663 +299,331 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
     })
 }
 
-fn solve_diagonal_inner<S: Storage, O: Observer>(
+/// The diagonal driver on the epoch loop, in the caller's execution
+/// context (the general driver's inner solves run here, inside its pool).
+pub(crate) fn diagonal<S: Storage, O: Observer>(
     p: &DiagonalProblem<S>,
     opts: &SeaOptions,
     obs: &mut O,
     ctrl: &mut SolveControl<'_>,
-) -> Result<Solution<S>, SeaError> {
-    let start = Instant::now();
-    let (m, n) = (p.m(), p.n());
-    let check_every = opts.check_every.max(1);
+) -> Result<Finished<Solution<S>>, SeaError> {
     let criterion = opts.effective_criterion(p.totals());
-    // Resolve the SIMD policy once, before the hot loop: `Force` without
-    // AVX2 fails here, up front, instead of per subproblem.
-    let simd_level = opts.simd.resolve()?;
-    // Mixed-precision phase control. `f32_phase` drives the passes; for
-    // `F32Mixed` the convergence check flips it off (the f64 polish epoch)
-    // once the f32 residual reaches ε or stagnates, and convergence is only
-    // ever declared with the flag off. Pure `F32` never polishes — its
-    // residual is still measured on the f64-materialized iterates, so it
-    // stalls rather than lies on problems f32 cannot resolve.
-    let mut f32_phase = opts.precision != Precision::F64;
-    let mut prev_check_residual = f64::INFINITY;
-    let mut stagnant_checks = 0u32;
-    let observing = obs.enabled();
-    if observing {
-        obs.record(&Event::SolveStart {
-            solver: "diagonal",
-            rows: m,
-            cols: n,
-            kernel: opts.kernel.name(),
-            parallelism: opts.parallelism.label(),
-            criterion: criterion.name(),
-        });
-    }
-    // Span signalling is independent of event observation: a profiler can
-    // consume spans with events off (the alloc-free configuration) and an
-    // event sink can run without span overhead.
-    let spanning = obs.spans_enabled();
-    if spanning {
-        obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
-    }
-    // Kernel counters are only harvested when someone is listening (an
-    // observer, a span profiler needing per-span attribution, or a
-    // supervisor enforcing a work budget); the per-task atomic flush is
-    // skipped entirely otherwise.
-    let counters = (observing || spanning || ctrl.needs_counters()).then(PassCounters::default);
-    // Fallbacks reported so far, to emit per-pass deltas.
-    let mut fallbacks_seen = 0u64;
-
-    // Transposed copies once per solve: the column pass then walks
-    // contiguous memory (for sparse storage, transposition doubles as the
-    // column-access view of the support).
-    let x0_t = p.x0().transposed()?;
-    let gamma_t = p.gamma().transposed()?;
-
-    // Shard boundaries for parallel passes, computed once per solve from
-    // the prior's support-graph components (cheap relative to one pass).
-    // Purely a locality hint: rows are independent, so results are
-    // bitwise-identical for every sharding.
-    let (row_starts, col_starts) = if matches!(opts.parallelism, Parallelism::Serial) {
-        (None, None)
-    } else {
-        let target = opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS);
-        let (row_labels, col_labels) = storage_support_components(p.x0(), f64::NEG_INFINITY);
-        (
-            Some(shard_boundaries(&row_labels, target)),
-            Some(shard_boundaries(&col_labels, target)),
-        )
+    let step = DiagonalStep {
+        p,
+        sweep: Sweep::new(p.x0(), p.gamma(), opts, criterion)?,
+        multiplier_bound: opts.multiplier_bound,
     };
+    epoch::run(step, &Schedule::of(opts, criterion.name()), obs, ctrl)
+}
 
-    let mut lambda = vec![0.0; m];
-    let mut mu = match &opts.initial_mu {
-        None => vec![0.0; n],
-        Some(mu0) => {
-            if mu0.len() != n {
+/// The knapsack total of subproblem `i` on one side of a diagonal
+/// problem; `cross` is the opposite side's multipliers, which couple the
+/// balanced class's account totals.
+fn total_mode(spec: &TotalSpec, row: bool, cross: &[f64], i: usize) -> TotalMode {
+    match spec {
+        TotalSpec::Fixed { s0, d0 } => TotalMode::Fixed {
+            total: if row { s0[i] } else { d0[i] },
+        },
+        TotalSpec::Elastic {
+            alpha,
+            s0,
+            beta,
+            d0,
+        } => {
+            let (weight, prior) = if row { (alpha, s0) } else { (beta, d0) };
+            TotalMode::Elastic {
+                alpha: weight[i],
+                prior: prior[i],
+                cross: 0.0,
+            }
+        }
+        TotalSpec::Balanced { alpha, s0 } => TotalMode::Elastic {
+            alpha: alpha[i],
+            prior: s0[i],
+            cross: cross[i],
+        },
+    }
+}
+
+/// The dual iterate of an alternating row/column sweep, shared by the
+/// diagonal and bounded steps.
+pub(crate) struct Sweep<S: Storage> {
+    /// Row multipliers `λ`.
+    pub lambda: Vec<f64>,
+    /// Column multipliers `μ`.
+    pub mu: Vec<f64>,
+    /// Row totals realized by the row pass.
+    pub s: Vec<f64>,
+    /// Column totals realized by the column pass.
+    pub d: Vec<f64>,
+    /// Row-pass iterate `X`.
+    pub x: S,
+    /// Column-pass iterate `Xᵀ` (the one every check measures).
+    pub x_t: S,
+    // Transposed prior and weights, once per solve: the column pass then
+    // walks contiguous memory (for sparse storage, transposition doubles
+    // as the column-access view of the support).
+    x0_t: S,
+    gamma_t: S,
+    /// For `MaxAbsChange`: the iterate at the previous check (`X⁰` first).
+    x_t_prev: Option<S>,
+    /// Row sums of `X`, reused every check (allocation-free steady state).
+    row_sums: Vec<f64>,
+    // Shard boundaries for parallel passes, aligned to the prior's
+    // support-graph components. Purely a locality hint: rows are
+    // independent, so results are bitwise-identical for every sharding.
+    row_starts: Option<Vec<usize>>,
+    col_starts: Option<Vec<usize>>,
+    criterion: ConvergenceCriterion,
+}
+
+impl<S: Storage> Sweep<S> {
+    /// Allocate the iterate for a prior/weight pair, warm-started from
+    /// `opts.initial_mu` (the paper's Step 0 uses `μ¹ = 0`).
+    ///
+    /// # Errors
+    /// [`SeaError::Shape`] for an `initial_mu` of the wrong length.
+    pub(crate) fn new(
+        x0: &S,
+        gamma: &S,
+        opts: &SeaOptions,
+        criterion: ConvergenceCriterion,
+    ) -> Result<Self, SeaError> {
+        let (m, n) = (x0.rows(), x0.cols());
+        let mu = match &opts.initial_mu {
+            None => vec![0.0; n],
+            Some(mu0) if mu0.len() == n => mu0.clone(),
+            Some(mu0) => {
                 return Err(SeaError::Shape {
                     context: "initial_mu",
                     expected: n,
                     actual: mu0.len(),
-                });
+                })
             }
-            mu0.clone()
-        }
-    };
-    let mut s = vec![0.0; m];
-    let mut d = vec![0.0; n];
-    let mut x = p.x0().zeros_like()?;
-    let mut x_t = x0_t.zeros_like()?;
-    // For MaxAbsChange: the iterate at the previous check (x⁰ := X⁰).
-    let mut x_t_prev = if criterion == ConvergenceCriterion::MaxAbsChange {
-        x0_t.clone()
-    } else {
-        x0_t.zeros_like()?
-    };
+        };
+        let x0_t = x0.transposed()?;
+        let (row_starts, col_starts) = if opts.parallelism.is_parallel() {
+            let target = opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS);
+            let (row_labels, col_labels) = storage_support_components(x0, f64::NEG_INFINITY);
+            (
+                Some(shard_boundaries(&row_labels, target)),
+                Some(shard_boundaries(&col_labels, target)),
+            )
+        } else {
+            (None, None)
+        };
+        Ok(Sweep {
+            lambda: vec![0.0; m],
+            mu,
+            s: vec![0.0; m],
+            d: vec![0.0; n],
+            x: x0.zeros_like()?,
+            x_t: x0_t.zeros_like()?,
+            x_t_prev: (criterion == ConvergenceCriterion::MaxAbsChange).then(|| x0_t.clone()),
+            gamma_t: gamma.transposed()?,
+            x0_t,
+            row_sums: vec![0.0; m],
+            row_starts,
+            col_starts,
+            criterion,
+        })
+    }
 
-    let mut trace = opts.record_trace.then(ExecutionTrace::new);
-    let mut history: Option<Vec<IterationSnapshot>> = opts.record_history.then(Vec::new);
-    let mut row_costs: Vec<f64> = Vec::new();
-    let mut col_costs: Vec<f64> = Vec::new();
-    // Per-shard timing sink for span profiling of parallel passes. Sized
-    // on first use and reused every pass (allocation-free steady state).
-    let mut shard_sink =
-        (spanning && !matches!(opts.parallelism, Parallelism::Serial)).then(ShardSink::new);
-    // Whether an Epoch span is open (breaks exit mid-epoch).
-    let mut epoch_open = false;
-    // Convergence checks seen, for telemetry payload rate limiting.
-    let mut checks_seen = 0u64;
-    // Row sums of X (= column sums of Xᵀ), reused every check so the
-    // steady-state loop performs no allocation.
-    let mut row_sums_buf = vec![0.0; m];
+    /// One epoch: the row pass (`λ` from `μ`), then the column pass (`μ`
+    /// from `λ`). `support` and `bounds` are given as `[rows, columns]`,
+    /// the column operands of `bounds` already transposed.
+    pub(crate) fn sweep<O: Observer>(
+        &mut self,
+        cx: &mut Cx<'_, O>,
+        (x0, gamma): (&S, &S),
+        support: [Option<&[Vec<u32>]>; 2],
+        bounds: [Option<Bounds<'_, S>>; 2],
+        mode: impl Fn(bool, &[f64], usize) -> TotalMode + Sync,
+    ) -> Result<(), SeaError> {
+        let mu = &self.mu;
+        cx.pass(
+            PhaseLabel::RowEquilibration,
+            Operands {
+                prior: x0,
+                gamma,
+                support: support[0],
+                bounds: bounds[0],
+                starts: self.row_starts.as_deref(),
+            },
+            mu,
+            &|i| mode(true, mu, i),
+            (&mut self.lambda, &mut self.s, &mut self.x),
+        )?;
+        let lambda = &self.lambda;
+        cx.pass(
+            PhaseLabel::ColumnEquilibration,
+            Operands {
+                prior: &self.x0_t,
+                gamma: &self.gamma_t,
+                support: support[1],
+                bounds: bounds[1],
+                starts: self.col_starts.as_deref(),
+            },
+            lambda,
+            &|j| mode(false, lambda, j),
+            (&mut self.mu, &mut self.d, &mut self.x_t),
+        )
+    }
 
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut residual = f64::INFINITY;
-
-    let row_support = p.support().map(|sup| sup.rows.as_slice());
-    let col_support = p.support().map(|sup| sup.cols.as_slice());
-
-    for t in 1..=opts.max_iterations {
-        iterations = t;
-        if spanning {
-            obs.span_open(SpanKind::Epoch, t as u64, 0);
-            epoch_open = true;
-        }
-
-        // ---- Step 1: row equilibration (parallel over rows). -------------
-        {
-            let inputs = PassInputs {
-                prior: p.x0(),
-                gamma: p.gamma(),
-                support: row_support,
-                shift: &mu,
-                side: "row",
-                kernel: opts.kernel,
-                simd: simd_level,
-                f32_phase,
-                fault: ctrl.task_fault(t, "row"),
-            };
-            if observing {
-                obs.record(&Event::PhaseStart {
-                    label: PhaseLabel::RowEquilibration,
-                    tasks: m,
-                });
-            }
-            let span_c0 = span_snapshot(spanning, counters.as_ref());
-            if spanning {
-                obs.span_open(SpanKind::RowPass, t as u64, m as u64);
-            }
-            let phase_t0 = observing.then(Instant::now);
-            let costs = (trace.is_some() || observing).then_some(&mut row_costs);
-            match p.totals() {
-                TotalSpec::Fixed { s0, .. } => equilibration_pass(
-                    &inputs,
-                    &|i| TotalMode::Fixed { total: s0[i] },
-                    &mut lambda,
-                    &mut s,
-                    &mut x,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    row_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Elastic { alpha, s0, .. } => equilibration_pass(
-                    &inputs,
-                    &|i| TotalMode::Elastic {
-                        alpha: alpha[i],
-                        prior: s0[i],
-                        cross: 0.0,
-                    },
-                    &mut lambda,
-                    &mut s,
-                    &mut x,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    row_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Balanced { alpha, s0 } => {
-                    let mu_ref: &[f64] = &mu;
-                    equilibration_pass(
-                        &inputs,
-                        &|i| TotalMode::Elastic {
-                            alpha: alpha[i],
-                            prior: s0[i],
-                            cross: mu_ref[i],
-                        },
-                        &mut lambda,
-                        &mut s,
-                        &mut x,
-                        opts.parallelism,
-                        costs,
-                        counters.as_ref(),
-                        row_starts.as_deref(),
-                        shard_sink.as_mut(),
-                    )?
-                }
-            }
-            if spanning {
-                close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
-            }
-            if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseKind::RowEquilibration, row_costs.clone());
-            }
-            if let Some(t0) = phase_t0 {
-                obs.record(&Event::PhaseEnd {
-                    label: PhaseLabel::RowEquilibration,
-                    tasks: m,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    task_seconds: row_costs.clone(),
-                });
-            }
-            if observing {
-                if let Some(c) = counters.as_ref() {
-                    let total = c.fallbacks();
-                    if total > fallbacks_seen {
-                        obs.record(&Event::FallbackTriggered {
-                            iteration: t,
-                            phase: PhaseLabel::RowEquilibration,
-                            count: total - fallbacks_seen,
-                        });
-                        fallbacks_seen = total;
-                    }
-                }
-            }
-        }
-
-        // ---- Step 2: column equilibration (parallel over columns). -------
-        {
-            let inputs = PassInputs {
-                prior: &x0_t,
-                gamma: &gamma_t,
-                support: col_support,
-                shift: &lambda,
-                side: "column",
-                kernel: opts.kernel,
-                simd: simd_level,
-                f32_phase,
-                fault: ctrl.task_fault(t, "column"),
-            };
-            if observing {
-                obs.record(&Event::PhaseStart {
-                    label: PhaseLabel::ColumnEquilibration,
-                    tasks: n,
-                });
-            }
-            let span_c0 = span_snapshot(spanning, counters.as_ref());
-            if spanning {
-                obs.span_open(SpanKind::ColPass, t as u64, n as u64);
-            }
-            let phase_t0 = observing.then(Instant::now);
-            let costs = (trace.is_some() || observing).then_some(&mut col_costs);
-            match p.totals() {
-                TotalSpec::Fixed { d0, .. } => equilibration_pass(
-                    &inputs,
-                    &|j| TotalMode::Fixed { total: d0[j] },
-                    &mut mu,
-                    &mut d,
-                    &mut x_t,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    col_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Elastic { beta, d0, .. } => equilibration_pass(
-                    &inputs,
-                    &|j| TotalMode::Elastic {
-                        alpha: beta[j],
-                        prior: d0[j],
-                        cross: 0.0,
-                    },
-                    &mut mu,
-                    &mut d,
-                    &mut x_t,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    col_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Balanced { alpha, s0 } => {
-                    let lambda_ref: &[f64] = &lambda;
-                    equilibration_pass(
-                        &inputs,
-                        &|j| TotalMode::Elastic {
-                            alpha: alpha[j],
-                            prior: s0[j],
-                            cross: lambda_ref[j],
-                        },
-                        &mut mu,
-                        &mut d,
-                        &mut x_t,
-                        opts.parallelism,
-                        costs,
-                        counters.as_ref(),
-                        col_starts.as_deref(),
-                        shard_sink.as_mut(),
-                    )?
-                }
-            }
-            if spanning {
-                close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
-            }
-            if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseKind::ColumnEquilibration, col_costs.clone());
-            }
-            if let Some(t0) = phase_t0 {
-                obs.record(&Event::PhaseEnd {
-                    label: PhaseLabel::ColumnEquilibration,
-                    tasks: n,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    task_seconds: col_costs.clone(),
-                });
-            }
-            if observing {
-                if let Some(c) = counters.as_ref() {
-                    let total = c.fallbacks();
-                    if total > fallbacks_seen {
-                        obs.record(&Event::FallbackTriggered {
-                            iteration: t,
-                            phase: PhaseLabel::ColumnEquilibration,
-                            count: total - fallbacks_seen,
-                        });
-                        fallbacks_seen = total;
-                    }
-                }
-            }
-        }
-
-        // For the balanced class the column totals *are* the account totals.
-        if matches!(p.totals(), TotalSpec::Balanced { .. }) {
-            s.copy_from_slice(&d);
-        }
-
-        // Scripted NaN injection (fault harness) lands before the watchdog
-        // so the breakdown path is exercised exactly like a real blow-up.
-        ctrl.inject_faults(t, &mut lambda);
-
-        // ---- Watchdog: non-finite iterates. ------------------------------
-        // Unsupervised solves check multipliers at the convergence check and
-        // error out; supervised solves check every iteration (including the
-        // full iterate) and restore the last certified snapshot instead.
-        let check_now = t % check_every == 0;
-        if ctrl.is_active() || check_now {
-            let finite = vector::all_finite(&lambda)
-                && vector::all_finite(&mu)
-                && (!ctrl.is_active() || vector::all_finite(x_t.values()));
-            if !finite {
-                if ctrl
-                    .restore_snapshot(&mut lambda, &mut mu, x_t.values_mut(), &mut s, &mut d)
-                    .map(|(it, res)| {
-                        iterations = it;
-                        residual = res;
-                    })
-                    .is_some()
-                {
-                    break;
-                }
-                return Err(SeaError::NumericalBreakdown { iteration: t });
-            }
-        }
-
-        // ---- Step 3: convergence verification (serial). ------------------
-        if check_now {
-            if observing {
-                obs.record(&Event::PhaseStart {
-                    label: PhaseLabel::ConvergenceCheck,
-                    tasks: 1,
-                });
-            }
-            if spanning {
-                obs.span_open(SpanKind::Check, t as u64, 1);
-            }
-            let t0 = Instant::now();
-            residual = match criterion {
-                ConvergenceCriterion::MaxAbsChange => {
-                    let delta = x_t.max_abs_diff(&x_t_prev);
-                    x_t_prev.copy_values_from(&x_t);
+    /// The stopping quantity of the sweep's criterion, measured on the
+    /// column-pass iterate; row targets are `fixed_rows` when the row
+    /// totals are known, else the totals the row pass realized.
+    pub(crate) fn residual(&mut self, fixed_rows: Option<&[f64]>) -> f64 {
+        let target = fixed_rows.unwrap_or(&self.s);
+        match self.criterion {
+            ConvergenceCriterion::MaxAbsChange => match self.x_t_prev.as_mut() {
+                Some(prev) => {
+                    let delta = self.x_t.max_abs_diff(prev);
+                    prev.copy_values_from(&self.x_t);
                     delta
                 }
-                ConvergenceCriterion::RelativeRowBalance => {
-                    // Row sums of X = column sums of Xᵀ.
-                    x_t.col_sums_into(&mut row_sums_buf);
-                    let target = row_target(p.totals(), &lambda, &s);
-                    let mut rel: f64 = 0.0;
-                    for i in 0..m {
-                        let ti = target(i);
-                        rel = rel.max((row_sums_buf[i] - ti).abs() / ti.abs().max(1e-12));
-                    }
-                    rel
+                None => f64::INFINITY,
+            },
+            ConvergenceCriterion::RelativeRowBalance => {
+                // Row sums of X = column sums of Xᵀ.
+                self.x_t.col_sums_into(&mut self.row_sums);
+                let mut rel: f64 = 0.0;
+                for (r, t) in self.row_sums.iter().zip(target) {
+                    rel = rel.max((r - t).abs() / t.abs().max(1e-12));
                 }
-                ConvergenceCriterion::ConstraintNorm => {
-                    x_t.col_sums_into(&mut row_sums_buf);
-                    let target = row_target(p.totals(), &lambda, &s);
-                    let mut sq = 0.0;
-                    for i in 0..m {
-                        let v = row_sums_buf[i] - target(i);
-                        sq += v * v;
-                    }
-                    sq.sqrt()
+                rel
+            }
+            ConvergenceCriterion::ConstraintNorm => {
+                self.x_t.col_sums_into(&mut self.row_sums);
+                let mut sq = 0.0;
+                for (r, t) in self.row_sums.iter().zip(target) {
+                    let v = r - t;
+                    sq += v * v;
                 }
-            };
-            let check_secs = t0.elapsed().as_secs_f64();
-            if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseKind::ConvergenceCheck, vec![check_secs]);
-            }
-            // Telemetry's payload (ζ and the active-set census) costs a
-            // full O(nnz) sweep each, so the stream is rate limited at
-            // the source: one sample every TELEMETRY_EVERY_CHECKS checks
-            // keeps the spanning overhead inside the <2% budget, and the
-            // profiler's own stride decimates further on long solves.
-            let telemetry_now = spanning && checks_seen.is_multiple_of(TELEMETRY_EVERY_CHECKS);
-            checks_seen += 1;
-            // ζ is only evaluated when something consumes it: the history
-            // recorder, an attached observer, or a due telemetry sample.
-            let zeta = (history.is_some() || observing || telemetry_now)
-                .then(|| dual::dual_value(p, &lambda, &mu));
-            if spanning {
-                obs.span_close(&KernelCounters::default());
-            }
-            if telemetry_now {
-                let snap = counters
-                    .as_ref()
-                    .map_or_else(KernelCounters::default, |c| c.snapshot());
-                // Active set = positive stored entries of the iterate; the
-                // profiler derives churn from consecutive samples.
-                let active_set = x_t.values().iter().filter(|v| **v > 0.0).count() as u64;
-                obs.telemetry(&TelemetrySample {
-                    iteration: t as u64,
-                    seconds: start.elapsed().as_secs_f64(),
-                    residual,
-                    dual_value: zeta.unwrap_or(f64::NAN),
-                    kernel_work: snap.work(),
-                    active_set,
-                });
-            }
-            if observing {
-                obs.record(&Event::PhaseEnd {
-                    label: PhaseLabel::ConvergenceCheck,
-                    tasks: 1,
-                    seconds: check_secs,
-                    task_seconds: vec![check_secs],
-                });
-                obs.record(&Event::ConvergenceCheck {
-                    iteration: t,
-                    residual,
-                    dual_value: zeta,
-                    criterion: criterion.name(),
-                });
-            }
-            if let Some(h) = history.as_mut() {
-                h.push(IterationSnapshot {
-                    iteration: t,
-                    dual_value: zeta.unwrap_or(f64::NAN),
-                    residual,
-                });
-            }
-            let f32_iterating = f32_phase && opts.precision == Precision::F32Mixed;
-            if residual <= opts.epsilon {
-                if f32_iterating {
-                    // The f32 phase reached tolerance: enter the f64 polish
-                    // epoch instead of declaring convergence — the final
-                    // iterate (and its KKT certificate) must come from
-                    // full-precision passes.
-                    f32_phase = false;
-                } else {
-                    converged = true;
-                    break;
-                }
-            } else if f32_iterating {
-                // Stagnation hand-over: three consecutive checks improving
-                // the residual by less than 1% mean the f32 search has hit
-                // its precision floor; polish in f64 from here.
-                if residual > prev_check_residual * 0.99 {
-                    stagnant_checks += 1;
-                    if stagnant_checks >= 3 {
-                        f32_phase = false;
-                    }
-                } else {
-                    stagnant_checks = 0;
-                }
-            }
-            prev_check_residual = residual;
-            if ctrl.is_active() {
-                // This iterate passed the finite watchdog and was measured:
-                // it becomes the breakdown restore point.
-                ctrl.capture_snapshot(t, residual, &lambda, &mu, x_t.values(), &s, &d);
-                if ctrl.note_residual(residual) {
-                    break; // StopReason::Stagnated latched in ctrl.
-                }
+                sq.sqrt()
             }
         }
+    }
 
-        // ---- Modified Algorithm: keep dual iterates bounded. -------------
-        if let Some(bound) = opts.multiplier_bound {
-            // x (row-pass iterate) is a valid support witness: shifting is
-            // only applied within its positive components.
-            let shifted = normalize_multipliers_storage(&x, &mut lambda, &mut mu, bound);
-            if observing && shifted > 0 {
-                obs.record(&Event::MultiplierBound {
-                    iteration: t,
-                    shifted,
-                    bound,
-                });
-            }
+    /// The iterate as the loop sees it.
+    pub(crate) fn iterate(&mut self) -> Iterate<'_> {
+        Iterate {
+            lambda: &mut self.lambda,
+            mu: &mut self.mu,
+            x: self.x_t.values_mut(),
+            s: &mut self.s,
+            d: &mut self.d,
         }
+    }
+}
 
-        // ---- Supervisor epilogue: checkpoint, then budget/cancellation. --
-        if ctrl.is_active() {
-            if let Some(path) = ctrl.maybe_checkpoint(t, &lambda, &mu) {
-                if observing {
-                    obs.record(&Event::CheckpointWritten { iteration: t, path });
-                }
-            }
-            let work = counters.as_ref().map(|c| {
-                let snap = c.snapshot();
-                snap.breakpoints_scanned + snap.quickselect_pivots + snap.boxed_clamps
+/// The diagonal class (§3.1) on the epoch loop.
+struct DiagonalStep<'p, S: Storage> {
+    p: &'p DiagonalProblem<S>,
+    sweep: Sweep<S>,
+    multiplier_bound: Option<f64>,
+}
+
+impl<S: Storage> Step for DiagonalStep<'_, S> {
+    type Output = Solution<S>;
+    const SOLVER: &'static str = "diagonal";
+
+    fn shape(&self) -> (usize, usize) {
+        (self.p.m(), self.p.n())
+    }
+
+    fn advance<O: Observer>(&mut self, _t: usize, cx: &mut Cx<'_, O>) -> Result<(), SeaError> {
+        let p = self.p;
+        let support = p.support();
+        self.sweep.sweep(
+            cx,
+            (p.x0(), p.gamma()),
+            [
+                support.map(|sup| sup.rows.as_slice()),
+                support.map(|sup| sup.cols.as_slice()),
+            ],
+            [None, None],
+            |row, cross, i| total_mode(p.totals(), row, cross, i),
+        )?;
+        // For the balanced class the column totals *are* the account totals.
+        if matches!(p.totals(), TotalSpec::Balanced { .. }) {
+            self.sweep.s.copy_from_slice(&self.sweep.d);
+        }
+        Ok(())
+    }
+
+    fn iterate(&mut self) -> Iterate<'_> {
+        self.sweep.iterate()
+    }
+
+    fn residual(&mut self) -> f64 {
+        // Elastic/balanced targets are the totals the passes realized
+        // (eq. 23b / 40b); balanced `s` was synced to the column pass.
+        let fixed = match self.p.totals() {
+            TotalSpec::Fixed { s0, .. } => Some(s0.as_slice()),
+            _ => None,
+        };
+        self.sweep.residual(fixed)
+    }
+
+    fn dual_value(&self) -> Option<f64> {
+        Some(dual::dual_value(self.p, &self.sweep.lambda, &self.sweep.mu))
+    }
+
+    /// The Modified Algorithm: keep the dual iterates bounded.
+    fn after_epoch<O: Observer>(&mut self, t: usize, cx: &mut Cx<'_, O>) {
+        let Some(bound) = self.multiplier_bound else {
+            return;
+        };
+        // x (row-pass iterate) is a valid support witness: shifting is only
+        // applied within its positive components.
+        let sw = &mut self.sweep;
+        let shifted = normalize_multipliers_storage(&sw.x, &mut sw.lambda, &mut sw.mu, bound);
+        if cx.observing && shifted > 0 {
+            cx.obs.record(&Event::MultiplierBound {
+                iteration: t,
+                shifted,
+                bound,
             });
-            if ctrl.should_stop(t, work).is_some() {
-                break;
-            }
-        }
-
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-            epoch_open = false;
         }
     }
 
-    if spanning {
-        // Breaks exit mid-epoch; close the dangling Epoch, then the Solve.
-        if epoch_open {
-            obs.span_close(&KernelCounters::default());
-        }
-        obs.span_close(&KernelCounters::default());
-    }
-
-    // ---- Assemble the solution from the final column pass. ---------------
-    let x_final = x_t.transposed()?;
-    let (s_final, d_final) = match p.totals() {
-        TotalSpec::Fixed { s0, d0 } => (s0.clone(), d0.clone()),
-        TotalSpec::Elastic { alpha, s0, .. } => {
+    fn finish(self, run: Run) -> Result<(Solution<S>, f64, Option<f64>), SeaError> {
+        let (p, sw) = (self.p, self.sweep);
+        let x = sw.x_t.transposed()?;
+        let (s, d) = match p.totals() {
+            TotalSpec::Fixed { s0, d0 } => (s0.clone(), d0.clone()),
             // s from the final λ (eq. 23b); d from the final column pass.
-            let s: Vec<f64> = (0..m)
-                .map(|i| s0[i] - lambda[i] / (2.0 * alpha[i]))
-                .collect();
-            (s, d.clone())
-        }
-        TotalSpec::Balanced { .. } => (s.clone(), s.clone()),
-    };
-
-    let residuals = p.residuals(&x_final, &s_final, &d_final);
-    let objective = p.objective(&x_final, &s_final, &d_final);
-    let dual_value = dual::dual_value(p, &lambda, &mu);
-
-    ctrl.fallbacks = counters.as_ref().map_or(0, |c| c.fallbacks());
-
-    if observing {
-        if ctrl.is_active() && !converged {
-            obs.record(&Event::SupervisorStop {
-                iteration: iterations,
-                reason: ctrl
-                    .stop()
-                    .map_or(StopReason::IterationCap.name(), StopReason::name),
-            });
-        }
-        if let Some(c) = counters.as_ref() {
-            let snap = c.snapshot();
-            if !snap.is_empty() {
-                obs.record(&Event::KernelCounters { counters: snap });
-            }
-        }
-        obs.record(&Event::SolveEnd {
-            iterations,
-            converged,
-            residual,
-            objective,
-            dual_value: Some(dual_value),
-            seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-
-    Ok(Solution {
-        x: x_final,
-        s: s_final,
-        d: d_final,
-        lambda,
-        mu,
-        stats: SolveStats {
-            iterations,
-            converged,
-            residual,
-            residuals,
-            objective,
-            dual_value,
-            elapsed: start.elapsed(),
-            trace,
-            history,
-        },
-    })
-}
-
-/// Counter snapshot taken at a pass-span boundary (zero when counters are
-/// off — span signalling forces them on, so this is just defensive).
-fn span_snapshot(spanning: bool, counters: Option<&PassCounters>) -> KernelCounters {
-    if spanning {
-        counters.map_or_else(KernelCounters::default, PassCounters::snapshot)
-    } else {
-        KernelCounters::default()
-    }
-}
-
-/// Close an equilibration-pass span: replay per-shard timings as Shard
-/// leaves (parallel passes), then close the pass. When shard leaves were
-/// emitted they carry the pass's whole kernel-work attribution (their
-/// per-shard counters sum to the pass delta exactly), so the pass closes
-/// with zero *self* counters; serial passes close with the full delta.
-fn close_pass_span<O: Observer>(
-    obs: &mut O,
-    sink: Option<&ShardSink>,
-    counters: Option<&PassCounters>,
-    pass_begin: KernelCounters,
-) {
-    let timings = sink.map_or(&[][..], ShardSink::timings);
-    for (si, tm) in timings.iter().enumerate() {
-        obs.span_leaf(
-            SpanKind::Shard,
-            si as u64,
-            tm.start_ns,
-            tm.end_ns,
-            tm.tasks,
-            &tm.counters,
-            "",
-        );
-    }
-    let self_counters = if timings.is_empty() {
-        counters
-            .map_or_else(KernelCounters::default, PassCounters::snapshot)
-            .delta_from(pass_begin)
-    } else {
-        KernelCounters::default()
-    };
-    obs.span_close(&self_counters);
-}
-
-/// Row-total target accessor for the convergence check.
-fn row_target<'a>(
-    spec: &'a TotalSpec,
-    _lambda: &'a [f64],
-    s: &'a [f64],
-) -> impl Fn(usize) -> f64 + 'a {
-    move |i: usize| match spec {
-        TotalSpec::Fixed { s0, .. } => s0[i],
-        // For elastic/balanced classes the row pass wrote s(λ) into `s`
-        // (eq. 23b / 40b); for balanced `s` was synced to the column pass.
-        TotalSpec::Elastic { .. } | TotalSpec::Balanced { .. } => s[i],
+            TotalSpec::Elastic { alpha, s0, .. } => (
+                (0..p.m())
+                    .map(|i| s0[i] - sw.lambda[i] / (2.0 * alpha[i]))
+                    .collect(),
+                sw.d,
+            ),
+            TotalSpec::Balanced { .. } => (sw.s.clone(), sw.s),
+        };
+        let residuals = p.residuals(&x, &s, &d);
+        let objective = p.objective(&x, &s, &d);
+        let dual_value = dual::dual_value(p, &sw.lambda, &sw.mu);
+        let solution = Solution {
+            x,
+            s,
+            d,
+            lambda: sw.lambda,
+            mu: sw.mu,
+            stats: SolveStats {
+                iterations: run.iterations,
+                converged: run.converged,
+                residual: run.residual,
+                residuals,
+                objective,
+                dual_value,
+                elapsed: run.start.elapsed(),
+                trace: run.trace,
+                history: run.history,
+            },
+        };
+        Ok((solution, objective, Some(dual_value)))
     }
 }
 
@@ -978,6 +631,7 @@ fn row_target<'a>(
 mod tests {
     use super::*;
     use crate::problem::ZeroPolicy;
+    use crate::trace::PhaseKind;
     use crate::weights::WeightScheme;
 
     fn fixed_problem() -> DiagonalProblem {

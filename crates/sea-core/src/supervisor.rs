@@ -232,6 +232,14 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
+    /// Whether any fault targets the passes or the multipliers (anything
+    /// beyond the budget-level `DeadlineNow`/`CancelNow`).
+    pub(crate) fn targets_passes(&self) -> bool {
+        self.faults
+            .iter()
+            .any(|(_, f)| !matches!(f, FaultKind::DeadlineNow | FaultKind::CancelNow))
+    }
+
     fn at_iteration(&self, t: usize) -> impl Iterator<Item = &FaultKind> {
         self.faults
             .iter()
@@ -298,8 +306,10 @@ pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::De
 }
 
 /// A crash-safe solver state snapshot: the column multipliers plus the
-/// iteration they belong to — sufficient to resume a diagonal solve
-/// bitwise-identically, because the row pass recomputes `λ` from `μ`.
+/// iteration they belong to — sufficient to resume a diagonal or bounded
+/// solve bitwise-identically, because the row pass recomputes `λ` from `μ`.
+/// (A general solve's state is its primal iterate, which this format
+/// cannot carry; the general driver refuses checkpoints.)
 ///
 /// The on-disk format is a small line-oriented text file whose floats are
 /// hex-encoded IEEE-754 bit patterns, so save→load round-trips are exact:
@@ -313,7 +323,7 @@ pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::De
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Driver name (`"diagonal"`).
+    /// Driver name (`"diagonal"` or `"bounded"`).
     pub solver: String,
     /// Iteration the snapshot captures (cumulative across resumes).
     pub iteration: usize,
@@ -459,6 +469,9 @@ pub(crate) struct SolveControl<'a> {
     stagnant_checks: usize,
     checkpoint_enabled: bool,
     checkpoint_error: Option<String>,
+    /// Harvest kernel counters even without a supervisor (a general
+    /// solve's inner solves feed its outer work budget).
+    count: bool,
     /// Total quickselect→sort-scan fallbacks, harvested at solve end.
     pub(crate) fallbacks: u64,
 }
@@ -474,6 +487,14 @@ impl<'a> SolveControl<'a> {
         Self::build(Some(sup))
     }
 
+    /// A passive control whose solve still harvests kernel counters.
+    pub(crate) fn counting() -> Self {
+        Self {
+            count: true,
+            ..Self::build(None)
+        }
+    }
+
     fn build(sup: Option<&'a SupervisorOptions>) -> Self {
         SolveControl {
             sup,
@@ -484,6 +505,7 @@ impl<'a> SolveControl<'a> {
             stagnant_checks: 0,
             checkpoint_enabled: sup.is_some_and(|s| s.checkpoint.is_some()),
             checkpoint_error: None,
+            count: false,
             fallbacks: 0,
         }
     }
@@ -493,9 +515,9 @@ impl<'a> SolveControl<'a> {
     }
 
     /// Supervised solves always harvest pass counters (work budget and
-    /// fallback accounting need them).
+    /// fallback accounting need them), as do counting controls.
     pub(crate) fn needs_counters(&self) -> bool {
-        self.is_active()
+        self.count || self.is_active()
     }
 
     /// Why the supervisor stopped the loop, if it did.
@@ -621,6 +643,7 @@ impl<'a> SolveControl<'a> {
     pub(crate) fn maybe_checkpoint(
         &mut self,
         t: usize,
+        solver: &str,
         lambda: &[f64],
         mu: &[f64],
     ) -> Option<String> {
@@ -633,7 +656,7 @@ impl<'a> SolveControl<'a> {
             return None;
         }
         let ck = Checkpoint {
-            solver: "diagonal".to_string(),
+            solver: solver.to_string(),
             iteration: sup.start_iteration + t,
             lambda: lambda.to_vec(),
             mu: mu.to_vec(),
@@ -792,7 +815,7 @@ mod tests {
         assert_eq!(ctrl.should_stop(1, None), None);
         assert!(!ctrl.note_residual(1.0));
         assert!(ctrl.task_fault(1, "row").is_none());
-        assert!(ctrl.maybe_checkpoint(1, &[], &[]).is_none());
+        assert!(ctrl.maybe_checkpoint(1, "diagonal", &[], &[]).is_none());
     }
 
     #[test]

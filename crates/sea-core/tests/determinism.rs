@@ -15,6 +15,7 @@ use sea_core::{
     solve_diagonal_supervised, solve_general_supervised, GeneralSeaOptions, KernelKind,
     NullObserver, Parallelism, SeaOptions, SupervisorOptions,
 };
+use sea_linalg::DenseMatrix;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -134,13 +135,14 @@ fn supervised_general_driver_is_bitwise_identical_across_modes() {
     let mut opts = GeneralSeaOptions::with_epsilon(1e-8);
     opts.max_outer = 20;
     opts.inner.parallelism = Parallelism::Serial;
-    let reference =
-        solve_general_supervised(&p, &opts, &sup, &mut NullObserver).expect("serial solve");
+    let reference = solve_general_supervised::<DenseMatrix, _>(&p, &opts, &sup, &mut NullObserver)
+        .expect("serial solve");
     for mode in [Parallelism::Rayon, Parallelism::RayonThreads(2)] {
         let mut opts = GeneralSeaOptions::with_epsilon(1e-8);
         opts.max_outer = 20;
         opts.inner.parallelism = mode;
-        let sol = solve_general_supervised(&p, &opts, &sup, &mut NullObserver).expect("solve");
+        let sol = solve_general_supervised::<DenseMatrix, _>(&p, &opts, &sup, &mut NullObserver)
+            .expect("solve");
         assert_eq!(sol.stop, reference.stop, "{mode:?}: stop reason diverged");
         assert_eq!(
             bits(sol.solution.x.as_slice()),
@@ -256,4 +258,51 @@ fn dense_and_csr_construction_agree_bitwise() {
             );
         }
     }
+}
+
+/// The bounded driver runs the same serial and sharded parallel passes as
+/// the diagonal one, so it inherits the contract: for dense and sparse
+/// storage, both kernels, every pool width and every shard size, the
+/// solve is bitwise identical to the serial reference.
+#[test]
+fn bounded_solves_are_bitwise_identical_across_modes_and_shards() {
+    use sea_core::{solve_bounded_supervised, BoundedProblem, Storage};
+    use sea_linalg::CsrMatrix;
+
+    fn check<S: Storage>(tag: &str, p: &BoundedProblem<S>) {
+        let sup = SupervisorOptions::default();
+        for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+            let mut ref_opts = SeaOptions::with_epsilon(1e-9);
+            ref_opts.kernel = kernel;
+            let reference = solve_bounded_supervised(p, &ref_opts, &sup, &mut NullObserver)
+                .expect("serial bounded solve")
+                .solution;
+            assert!(reference.converged, "{tag}/{kernel}: reference converged");
+            for mode in [
+                Parallelism::Rayon,
+                Parallelism::RayonThreads(1),
+                Parallelism::RayonThreads(2),
+                Parallelism::RayonThreads(4),
+            ] {
+                for block in [None, Some(1), Some(3), Some(64)] {
+                    let mut opts = ref_opts.clone();
+                    opts.parallelism = mode;
+                    opts.block_size = block;
+                    let sol = solve_bounded_supervised(p, &opts, &sup, &mut NullObserver)
+                        .expect("parallel bounded solve")
+                        .solution;
+                    let at = format!("{tag}/{kernel}/{mode:?}/{block:?}");
+                    assert_eq!(sol.iterations, reference.iterations, "{at}: iterations");
+                    assert_eq!(bits(sol.x.values()), bits(reference.x.values()), "{at}: x");
+                    assert_eq!(bits(&sol.lambda), bits(&reference.lambda), "{at}: lambda");
+                    assert_eq!(bits(&sol.mu), bits(&reference.mu), "{at}: mu");
+                }
+            }
+        }
+    }
+
+    let dense = generator::try_bounded(0xB0_5EA, 9, 7, 3, 1.0).expect("bounded instance");
+    check("dense", &dense);
+    let sparse: BoundedProblem<CsrMatrix> = generator::sparse_bounded(0xB1_5EA, 11, 9, 2);
+    check("sparse", &sparse);
 }

@@ -489,9 +489,7 @@ fn bounded_driver_honors_budgets_and_faults() {
     };
     let sol = solve_bounded_supervised(
         &bounded_problem(),
-        -1.0,
-        10_000,
-        KernelKind::SortScan,
+        &SeaOptions::with_epsilon(-1.0),
         &sup,
         &mut NullObserver,
     )
@@ -504,9 +502,7 @@ fn bounded_driver_honors_budgets_and_faults() {
     sup.budget.max_iterations = Some(2);
     let sol = solve_bounded_supervised(
         &bounded_problem(),
-        -1.0,
-        10_000,
-        KernelKind::SortScan,
+        &SeaOptions::with_epsilon(-1.0),
         &sup,
         &mut NullObserver,
     )
@@ -521,9 +517,7 @@ fn bounded_driver_honors_budgets_and_faults() {
     };
     match solve_bounded_supervised(
         &bounded_problem(),
-        -1.0,
-        10_000,
-        KernelKind::SortScan,
+        &SeaOptions::with_epsilon(-1.0),
         &sup,
         &mut NullObserver,
     ) {
@@ -547,14 +541,18 @@ fn general_driver_honors_budgets_at_outer_granularity() {
     let mut o = GeneralSeaOptions::with_epsilon(1e-10);
     o.outer_epsilon = -1.0;
     o.max_outer = 50;
-    let sol = solve_general_supervised(&general_problem(), &o, &sup, &mut NullObserver).unwrap();
+    let sol =
+        solve_general_supervised::<DenseMatrix, _>(&general_problem(), &o, &sup, &mut NullObserver)
+            .unwrap();
     assert_eq!(sol.stop, StopReason::DeadlineExceeded);
     assert_eq!(sol.solution.outer_iterations, 1);
     assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
 
     let mut sup = SupervisorOptions::default();
     sup.budget.max_iterations = Some(2);
-    let sol = solve_general_supervised(&general_problem(), &o, &sup, &mut NullObserver).unwrap();
+    let sol =
+        solve_general_supervised::<DenseMatrix, _>(&general_problem(), &o, &sup, &mut NullObserver)
+            .unwrap();
     assert_eq!(sol.stop, StopReason::IterationCap);
     assert_eq!(sol.solution.outer_iterations, 2);
 }

@@ -18,8 +18,9 @@ mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_bounded_configured, solve_diagonal, verify_solution, BoundedOptions, DiagonalProblem,
-    GapCheck, KernelKind, Parallelism, Precision, SeaOptions, SimdMode, TotalSpec,
+    solve_bounded_supervised, solve_diagonal, verify_solution, DiagonalProblem, GapCheck,
+    KernelKind, NullObserver, Parallelism, Precision, SeaOptions, SimdMode, SupervisorOptions,
+    TotalSpec,
 };
 use sea_linalg::DenseMatrix;
 
@@ -141,17 +142,21 @@ fn mixed_matches_f64_certificate_quality_when_well_conditioned() {
     );
 }
 
-/// Box-bounded driver: mixed precision through `solve_bounded_configured`
+/// Box-bounded driver: mixed precision through `solve_bounded_supervised`
 /// converges to a feasible, in-bounds estimate.
 #[test]
 fn bounded_mixed_precision_converges_in_bounds() {
     let p = generator::try_bounded(SEED ^ 2, 9, 12, 3, 1.0).expect("constructible");
-    let cfg = BoundedOptions {
+    let opts = SeaOptions {
+        max_iterations: 50_000,
         kernel: KernelKind::SortScan,
         simd: simd_under_test(),
         precision: Precision::F32Mixed,
+        ..SeaOptions::with_epsilon(1e-8)
     };
-    let sol = solve_bounded_configured(&p, 1e-8, 50_000, &cfg).expect("bounded mixed solve");
+    let sol = solve_bounded_supervised(&p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+        .expect("bounded mixed solve")
+        .solution;
     assert!(sol.converged, "residual {:?}", sol.residuals);
     assert!(sol.residuals.rel_row_inf <= 1e-8);
 }

@@ -9,8 +9,12 @@
 //! iteration numbers, convergence flags, and the exact kernel work
 //! counters — must match the committed golden file.
 
-use sea_core::{solve_diagonal_observed, DiagonalProblem, Parallelism, SeaOptions, TotalSpec};
-use sea_linalg::DenseMatrix;
+use sea_core::{
+    solve_bounded_supervised, solve_diagonal_observed, solve_general_supervised, BoundedProblem,
+    DiagonalProblem, GeneralProblem, GeneralSeaOptions, GeneralTotalSpec, Parallelism, SeaOptions,
+    StopReason, SupervisorOptions, TotalSpec,
+};
+use sea_linalg::{DenseMatrix, SymMatrix};
 use sea_observe::jsonl::{encode_event, parse_events, JsonlObserver};
 use sea_observe::Event;
 
@@ -74,6 +78,35 @@ fn golden_problem() -> DiagonalProblem {
     .unwrap()
 }
 
+/// Encode a recorded stream with [`normalized`] applied, one line per
+/// event.
+fn normalized_jsonl(bytes: &[u8]) -> String {
+    let recorded = parse_events(std::str::from_utf8(bytes).unwrap()).unwrap();
+    let mut actual = String::new();
+    for event in &recorded {
+        actual.push_str(&encode_event(&normalized(event)));
+        actual.push('\n');
+    }
+    actual
+}
+
+/// Compare a normalized stream with the committed fixture `name`, line by
+/// line for actionable failure messages, then exactly.
+/// `UPDATE_GOLDEN=1 cargo test -p sea-core --test observe_events` rewrites
+/// the fixtures after an intentional event-schema change.
+fn assert_golden(actual: &str, name: &str) {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(a, g, "event {} diverges from {name}", i + 1);
+    }
+    assert_eq!(actual, golden, "event count diverges from {name}");
+}
+
 #[test]
 fn event_stream_matches_golden_fixture() {
     let p = golden_problem();
@@ -83,34 +116,9 @@ fn event_stream_matches_golden_fixture() {
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
     assert!(sol.stats.converged);
-
-    let bytes = obs.finish().unwrap();
-    let recorded = parse_events(std::str::from_utf8(&bytes).unwrap()).unwrap();
-    let mut actual = String::new();
-    for event in &recorded {
-        actual.push_str(&encode_event(&normalized(event)));
-        actual.push('\n');
-    }
-
-    // `UPDATE_GOLDEN=1 cargo test -p sea-core --test observe_events`
-    // rewrites the fixture after an intentional event-schema change.
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/golden_solve.jsonl"
-        );
-        std::fs::write(path, &actual).unwrap();
-        return;
-    }
-
-    let golden = include_str!("fixtures/golden_solve.jsonl");
-    // Compare line by line for actionable failure messages, then exactly.
-    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(a, g, "event {} diverges from the golden fixture", i + 1);
-    }
-    assert_eq!(
-        actual, golden,
-        "event count diverges from the golden fixture"
+    assert_golden(
+        &normalized_jsonl(&obs.finish().unwrap()),
+        "golden_solve.jsonl",
     );
 }
 
@@ -154,37 +162,82 @@ fn sparse_event_stream_matches_golden_fixture() {
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
     assert!(sol.stats.converged);
+    assert_golden(
+        &normalized_jsonl(&obs.finish().unwrap()),
+        "golden_sparse_solve.jsonl",
+    );
+}
 
-    let bytes = obs.finish().unwrap();
-    let recorded = parse_events(std::str::from_utf8(&bytes).unwrap()).unwrap();
-    let mut actual = String::new();
-    for event in &recorded {
-        actual.push_str(&encode_event(&normalized(event)));
-        actual.push('\n');
-    }
+/// A tiny deterministic box-bounded solve (3×3, serial, sort-scan) whose
+/// bounds are active, so the stream carries boxed-clamp counters.
+#[test]
+fn bounded_event_stream_matches_golden_fixture() {
+    let p = BoundedProblem::new(
+        DenseMatrix::from_rows(&[
+            vec![1.0, 2.0, 3.0],
+            vec![4.0, 1.0, 2.0],
+            vec![2.0, 5.0, 1.0],
+        ])
+        .unwrap(),
+        DenseMatrix::from_rows(&[
+            vec![1.0, 2.0, 1.0],
+            vec![4.0, 1.0, 2.0],
+            vec![1.0, 1.0, 3.0],
+        ])
+        .unwrap(),
+        DenseMatrix::filled(3, 3, 0.5).unwrap(),
+        DenseMatrix::filled(3, 3, 4.0).unwrap(),
+        vec![8.0, 6.0, 9.0],
+        vec![9.0, 7.0, 7.0],
+    )
+    .unwrap();
+    let mut obs = JsonlObserver::new(Vec::new());
+    let sol = solve_bounded_supervised(
+        &p,
+        &SeaOptions::with_epsilon(1e-10),
+        &SupervisorOptions::default(),
+        &mut obs,
+    )
+    .unwrap();
+    assert_eq!(sol.stop, StopReason::Converged);
+    assert_golden(
+        &normalized_jsonl(&obs.finish().unwrap()),
+        "golden_bounded_solve.jsonl",
+    );
+}
 
-    // `UPDATE_GOLDEN=1 cargo test -p sea-core --test observe_events`
-    // rewrites the fixture after an intentional event-schema change.
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/golden_sparse_solve.jsonl"
-        );
-        std::fs::write(path, &actual).unwrap();
-        return;
+/// A tiny deterministic general solve (2×2, dense `G`, several outer
+/// iterations): the outer
+/// projection lifecycle with the nested inner diagonal streams.
+#[test]
+fn general_event_stream_matches_golden_fixture() {
+    let diag = [10.0, 6.0, 8.0, 12.0];
+    let mut g = DenseMatrix::filled(4, 4, -1.5).unwrap();
+    for (i, &v) in diag.iter().enumerate() {
+        g.set(i, i, v);
     }
-
-    let golden = include_str!("fixtures/golden_sparse_solve.jsonl");
-    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(
-            a,
-            g,
-            "event {} diverges from the golden sparse fixture",
-            i + 1
-        );
-    }
-    assert_eq!(
-        actual, golden,
-        "event count diverges from the golden sparse fixture"
+    let p = GeneralProblem::new(
+        DenseMatrix::from_rows(&[vec![1.0, 5.0], vec![3.0, 2.0]]).unwrap(),
+        SymMatrix::from_dense(g, 1e-12).unwrap(),
+        GeneralTotalSpec::Fixed {
+            s0: vec![7.0, 6.0],
+            d0: vec![4.0, 9.0],
+        },
+    )
+    .unwrap();
+    let mut opts = GeneralSeaOptions::with_epsilon(1e-9);
+    opts.inner.parallelism = Parallelism::Serial;
+    let mut obs = JsonlObserver::new(Vec::new());
+    let sol = solve_general_supervised::<DenseMatrix, _>(
+        &p,
+        &opts,
+        &SupervisorOptions::default(),
+        &mut obs,
+    )
+    .unwrap();
+    assert_eq!(sol.stop, StopReason::Converged);
+    assert_golden(
+        &normalized_jsonl(&obs.finish().unwrap()),
+        "golden_general_solve.jsonl",
     );
 }

@@ -19,12 +19,22 @@ use sea_core::{
     solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised,
     GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions, SupervisorOptions,
 };
+use sea_linalg::DenseMatrix;
 
 fn kernel_of(k: u8) -> KernelKind {
     if k == 0 {
         KernelKind::SortScan
     } else {
         KernelKind::Quickselect
+    }
+}
+
+/// Bounded-driver options: ε = 1e-8, 60 iterations, kernel `k`.
+fn bounded_opts(k: u8) -> SeaOptions {
+    SeaOptions {
+        max_iterations: 60,
+        kernel: kernel_of(k),
+        ..SeaOptions::with_epsilon(1e-8)
     }
 }
 
@@ -84,7 +94,7 @@ proptest! {
         };
         let sup = SupervisorOptions::default();
         if let Ok(sol) =
-            solve_bounded_supervised(&p, 1e-8, 60, kernel_of(k), &sup, &mut NullObserver)
+            solve_bounded_supervised(&p, &bounded_opts(k), &sup, &mut NullObserver)
         {
             prop_assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
         }
@@ -158,7 +168,7 @@ proptest! {
         o.inner.kernel = kernel_of(k);
         o.inner.parallelism = par_of(par);
         let sup = SupervisorOptions::default();
-        if let Ok(sol) = solve_general_supervised(&p, &o, &sup, &mut NullObserver) {
+        if let Ok(sol) = solve_general_supervised::<DenseMatrix, _>(&p, &o, &sup, &mut NullObserver) {
             prop_assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
         }
     }
@@ -334,10 +344,11 @@ proptest! {
         match BoundedProblem::new(x0, sp.gamma().clone(), lo, hi, s0, d0) {
             Err(_) => {} // typed validation error: acceptable
             Ok(p) => {
+                let sup = SupervisorOptions::default();
                 if let Ok(sol) =
-                    sea_core::solve_bounded_with(&p, 1e-8, 60, kernel_of(k))
+                    solve_bounded_supervised(&p, &bounded_opts(k), &sup, &mut NullObserver)
                 {
-                    prop_assert!(sol.x.values().iter().all(|v| v.is_finite()));
+                    prop_assert!(sol.solution.x.values().iter().all(|v| v.is_finite()));
                 }
             }
         }

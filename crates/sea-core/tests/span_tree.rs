@@ -18,8 +18,8 @@ mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_diagonal_observed, DiagonalProblem, KernelCounters, KernelKind, Parallelism, SeaOptions,
-    SpanKind, SpanProfiler, SpanRecord,
+    solve_bounded_supervised, solve_diagonal_observed, DiagonalProblem, KernelCounters, KernelKind,
+    Parallelism, SeaOptions, SpanKind, SpanProfiler, SpanRecord, SupervisorOptions,
 };
 use sea_linalg::CsrMatrix;
 
@@ -169,5 +169,49 @@ proptest! {
         }
         prop_assert_eq!(profiler.dropped(), 0, "{}: tiny solve overflowed the ring", &tag);
         check_well_formed(&profiler.spans(), &tag)?;
+    }
+
+    /// The bounded driver shares the epoch loop and the sharded passes, so
+    /// its span forests obey the same discipline.
+    #[test]
+    fn bounded_span_forests_are_well_formed(
+        seed in 0u64..1 << 48,
+        m in 2usize..6,
+        n in 2usize..6,
+        k in 0u8..2,
+        par in 0u8..2,
+        sparse_sel in 0u8..2,
+        block in 1usize..4,
+    ) {
+        let sparse = sparse_sel == 1;
+        let mut o = SeaOptions::with_epsilon(-1.0); // unattainable: multi-epoch tree
+        o.max_iterations = 12;
+        o.kernel = kernel_of(k);
+        o.parallelism = par_of(par);
+        o.block_size = Some(block);
+        let tag = format!("bounded seed={seed} {m}x{n} k={k} par={par} sparse={sparse}");
+        let sup = SupervisorOptions::default();
+
+        let mut profiler = SpanProfiler::new();
+        let solved = if sparse {
+            let p = generator::sparse_bounded(seed, m, n, 1);
+            solve_bounded_supervised(&p, &o, &sup, &mut profiler).is_ok()
+        } else {
+            match generator::try_bounded(seed, m, n, 3, 1.0) {
+                Ok(p) => solve_bounded_supervised(&p, &o, &sup, &mut profiler).is_ok(),
+                Err(_) => return Ok(()), // typed construction error: no tree
+            }
+        };
+        if !solved {
+            return Ok(()); // typed failure: tree may be truncated
+        }
+        prop_assert_eq!(profiler.dropped(), 0, "{}: tiny solve overflowed the ring", &tag);
+        let spans = profiler.spans();
+        prop_assert!(
+            spans.iter().filter(|s| s.kind == SpanKind::Epoch).count() == 12,
+            "{}: expected 12 epochs",
+            &tag
+        );
+        check_well_formed(&spans, &tag)?;
     }
 }

@@ -16,10 +16,10 @@
 mod generator;
 
 use sea_core::{
-    solve_bounded_supervised, solve_bounded_with, solve_diagonal_observed,
-    solve_diagonal_supervised, solve_general, solve_general_in, verify_solution, BoundedProblem,
-    DiagonalProblem, Event, KernelCounters, KernelKind, NullObserver, Parallelism, SeaOptions,
-    StopReason, Storage, SupervisorOptions, VecObserver,
+    solve_bounded_supervised, solve_diagonal_observed, solve_diagonal_supervised, solve_general,
+    solve_general_supervised, verify_solution, BoundedProblem, DiagonalProblem, Event,
+    KernelCounters, KernelKind, NullObserver, Parallelism, SeaOptions, StopReason, Storage,
+    SupervisorOptions, VecObserver,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
 
@@ -167,10 +167,17 @@ fn sparse_bounded_matches_dense_oracle() {
         let dp = dense_bounded_oracle(&sp);
         for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
             let tag = format!("bounded/{seed:#x}/{kernel:?}");
-            let ssol = solve_bounded_with(&sp, 1e-10, 10_000, kernel)
-                .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"));
-            let dsol = solve_bounded_with(&dp, 1e-10, 10_000, kernel)
-                .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"));
+            let opts = SeaOptions {
+                kernel,
+                ..SeaOptions::with_epsilon(1e-10)
+            };
+            let sup = SupervisorOptions::default();
+            let ssol = solve_bounded_supervised(&sp, &opts, &sup, &mut NullObserver)
+                .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"))
+                .solution;
+            let dsol = solve_bounded_supervised(&dp, &opts, &sup, &mut NullObserver)
+                .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"))
+                .solution;
             assert!(ssol.converged && dsol.converged, "{tag}: not converged");
             let sx = ssol.x.to_dense().expect("densify");
             assert!(
@@ -184,14 +191,53 @@ fn sparse_bounded_matches_dense_oracle() {
         let sup = SupervisorOptions::default();
         let s = solve_bounded_supervised(
             &sp,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
+            &SeaOptions::with_epsilon(1e-10),
             &sup,
             &mut NullObserver,
         )
         .expect("sparse supervised bounded");
         assert_eq!(s.stop, StopReason::Converged, "bounded/{seed:#x}");
+    }
+}
+
+/// Sparse bounded solves through the sharded parallel passes replay the
+/// serial sparse solve bitwise — iterates, multipliers, and the kernel
+/// work counted over the stored support.
+#[test]
+fn sparse_bounded_is_bitwise_identical_across_parallel_modes() {
+    for seed in [SEED, SEED ^ 0xB0B] {
+        let sp = generator::sparse_bounded(seed, 12, 10, 2);
+        for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+            let solve = |parallelism: Parallelism, block_size: Option<usize>| {
+                let opts = SeaOptions {
+                    kernel,
+                    parallelism,
+                    block_size,
+                    ..SeaOptions::with_epsilon(1e-10)
+                };
+                let mut obs = VecObserver::new();
+                let sol =
+                    solve_bounded_supervised(&sp, &opts, &SupervisorOptions::default(), &mut obs)
+                        .expect("sparse bounded solve")
+                        .solution;
+                (sol, counters_of(&obs))
+            };
+            let (serial, serial_work) = solve(Parallelism::Serial, None);
+            assert!(serial.converged, "bounded/{seed:#x}/{kernel:?}");
+            for (par, block) in [
+                (Parallelism::Rayon, None),
+                (Parallelism::Rayon, Some(1)),
+                (Parallelism::RayonThreads(2), Some(4)),
+            ] {
+                let tag = format!("bounded/{seed:#x}/{kernel:?}/{par:?}/{block:?}");
+                let (sol, work) = solve(par, block);
+                assert_eq!(sol.iterations, serial.iterations, "{tag}: iterations");
+                assert_eq!(bits(sol.x.values()), bits(serial.x.values()), "{tag}: x");
+                assert_eq!(bits(&sol.lambda), bits(&serial.lambda), "{tag}: lambda");
+                assert_eq!(bits(&sol.mu), bits(&serial.mu), "{tag}: mu");
+                assert_eq!(work, serial_work, "{tag}: kernel work");
+            }
+        }
     }
 }
 
@@ -205,7 +251,14 @@ fn sparse_general_matches_dense_bitwise() {
         };
         let opts = sea_core::GeneralSeaOptions::default();
         let dense = solve_general(&p, &opts).expect("dense general");
-        let sparse = solve_general_in::<CsrMatrix>(&p, &opts).expect("sparse general");
+        let sparse = solve_general_supervised::<CsrMatrix, _>(
+            &p,
+            &opts,
+            &SupervisorOptions::default(),
+            &mut NullObserver,
+        )
+        .expect("sparse general")
+        .solution;
         assert_eq!(
             bits(dense.x.as_slice()),
             bits(sparse.x.values()),

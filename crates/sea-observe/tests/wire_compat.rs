@@ -14,13 +14,14 @@ fn fixture(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
 
-/// Every committed golden log, across the PRs that introduced them:
-/// the dense solve (PR 2), the batch framing (PR 5), and the sparse
-/// sharded solve (PR 6).
+/// Every committed golden log: the dense solve, the batch framing, the
+/// sparse sharded solve, and the box-bounded and general solves.
 fn golden_logs() -> Vec<PathBuf> {
     vec![
         fixture("../sea-core/tests/fixtures/golden_solve.jsonl"),
         fixture("../sea-core/tests/fixtures/golden_sparse_solve.jsonl"),
+        fixture("../sea-core/tests/fixtures/golden_bounded_solve.jsonl"),
+        fixture("../sea-core/tests/fixtures/golden_general_solve.jsonl"),
         fixture("../sea-batch/tests/fixtures/golden_batch.jsonl"),
     ]
 }

@@ -1046,6 +1046,7 @@ fn run_job(job: &Job, shared: &Arc<Shared>, faults: &[ServiceFault]) -> (u16, St
     let mut body = String::new();
     let mut deadline_hit = false;
     let mut solver_panic = false;
+    let mut unsupported = false;
     for (index, inst) in instances.iter().enumerate() {
         let mut report = solve_with_cache(inst, job, shared, faults);
         report.index = index;
@@ -1083,23 +1084,31 @@ fn run_job(job: &Job, shared: &Arc<Shared>, faults: &[ServiceFault]) -> (u16, St
                 solver_panic = true;
                 shared.count_panic(1.0);
             }
+            Err(SeaError::Unsupported { .. }) => unsupported = true,
             _ => {}
         }
         body.push_str(&result_line_with(&report, &extras));
         body.push('\n');
     }
-    // A deadline miss is the one stop the client cannot see from a 200
-    // alone, so it gets the gateway-timeout status; the body still carries
-    // the partial result lines with their stop reasons. A panic anywhere
-    // in the job outranks it.
-    let status = if solver_panic {
+    (job_status(solver_panic, unsupported, deadline_hit), body)
+}
+
+/// A job's HTTP status. A deadline miss is the one stop the client cannot
+/// see from a 200 alone, so it gets the gateway-timeout status; the body
+/// still carries the partial result lines with their stop reasons. An
+/// option a driver refused (`SeaError::Unsupported`) is the request's
+/// fault, so it outranks the deadline as a 422; a panic anywhere in the
+/// job outranks both.
+fn job_status(solver_panic: bool, unsupported: bool, deadline_hit: bool) -> u16 {
+    if solver_panic {
         500
+    } else if unsupported {
+        422
     } else if deadline_hit {
         504
     } else {
         200
-    };
-    (status, body)
+    }
 }
 
 fn solve_with_cache(
@@ -1248,5 +1257,18 @@ impl Observer for CappedObserver {
             }
         }
         self.events.push(event.clone());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn refused_options_answer_422_between_panics_and_deadlines() {
+        assert_eq!(job_status(false, false, false), 200);
+        assert_eq!(job_status(false, false, true), 504);
+        assert_eq!(job_status(false, true, true), 422);
+        assert_eq!(job_status(true, true, true), 500);
     }
 }
