@@ -133,7 +133,7 @@ impl Default for BatchOptions {
         BatchOptions {
             epsilon: defaults.epsilon,
             max_iterations: defaults.max_iterations,
-            kernel: KernelKind::SortScan,
+            kernel: defaults.kernel,
             simd: SimdMode::Off,
             precision: Precision::F64,
             parallelism: BatchParallelism::Serial,

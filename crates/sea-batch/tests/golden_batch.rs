@@ -9,7 +9,7 @@
 //! outcomes, kernel-work counters — must match the committed fixture.
 
 use sea_batch::{BatchEngine, BatchInstance, BatchOptions, BatchProblem};
-use sea_core::{DiagonalProblem, Event, TotalSpec};
+use sea_core::{DiagonalProblem, Event, KernelKind, TotalSpec};
 use sea_linalg::DenseMatrix;
 use sea_observe::jsonl::{encode_event, parse_events, JsonlObserver};
 
@@ -92,9 +92,11 @@ fn batch_event_stream_matches_golden_fixture() {
             problem: BatchProblem::Diagonal(tiny([[5.0, 1.0], [1.0, 5.0]], [6.0, 6.0], [7.0, 5.0])),
         },
     ];
+    // The fixture was recorded with the sort-scan oracle kernel.
     let mut engine = BatchEngine::new(BatchOptions {
         epsilon: 1e-10,
         max_iterations: 1000,
+        kernel: KernelKind::SortScan,
         ..BatchOptions::default()
     });
 

@@ -5,8 +5,8 @@
 //! weights, doubled margins, ε = .01 (relative row balance). The paper ran
 //! 750² … 3000² on one IBM 3090-600E processor.
 
-use sea_bench::{results_dir, Scale};
-use sea_core::{solve_diagonal, SeaOptions};
+use sea_bench::{paper_options, results_dir, Scale};
+use sea_core::solve_diagonal;
 use sea_data::table1_instance;
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -29,7 +29,7 @@ fn main() {
 
     for &size in sizes {
         let problem = table1_instance(size, seed);
-        let opts = SeaOptions::with_epsilon(0.01);
+        let opts = paper_options(0.01);
         let sol = solve_diagonal(&problem, &opts).expect("solvable by construction");
         assert!(sol.stats.converged, "size {size} did not converge");
         table.push_row(vec![

@@ -8,9 +8,9 @@
 //! became prohibitively expensive to do so".
 
 use sea_baselines::bachem_korte::{solve_general_bk, BkOptions};
-use sea_baselines::rc::{solve_general_rc, RcOptions};
-use sea_bench::{results_dir, Scale};
-use sea_core::{solve_general, GeneralSeaOptions};
+use sea_baselines::rc::solve_general_rc;
+use sea_bench::{paper_general_options, paper_rc_options, results_dir, Scale};
+use sea_core::solve_general;
 use sea_data::table7_instance;
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -55,11 +55,11 @@ fn main() {
         for r in 0..reps {
             let p = table7_instance(side, seed.wrapping_add(r));
 
-            let sea = solve_general(&p, &GeneralSeaOptions::with_epsilon(0.001)).expect("solvable");
+            let sea = solve_general(&p, &paper_general_options(0.001)).expect("solvable");
             assert!(sea.converged, "SEA failed on G {g_order}");
             sea_secs += sea.elapsed.as_secs_f64();
 
-            let rc = solve_general_rc(&p, &RcOptions::with_epsilon(0.001)).expect("solvable");
+            let rc = solve_general_rc(&p, &paper_rc_options(0.001)).expect("solvable");
             assert!(rc.converged, "RC failed on G {g_order}");
             rc_secs += rc.elapsed.as_secs_f64();
             agreement = agreement.max(sea.x.max_abs_diff(&rc.x));

@@ -2,8 +2,8 @@
 //! migration tables with 100 % dense G (§5.1.2): six 48×48 problems,
 //! G of order 2304, ε′ = .001.
 
-use sea_bench::{results_dir, Scale};
-use sea_core::{solve_general, GeneralSeaOptions};
+use sea_bench::{paper_general_options, results_dir, Scale};
+use sea_core::solve_general;
 use sea_data::migration::{migration_general, Period};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -23,7 +23,7 @@ fn main() {
         for perturb in [false, true] {
             let name = format!("GMIG{}{}", period.tag(), if perturb { 'b' } else { 'a' });
             let p = migration_general(period, perturb);
-            let sol = solve_general(&p, &GeneralSeaOptions::with_epsilon(0.001)).expect("solvable");
+            let sol = solve_general(&p, &paper_general_options(0.001)).expect("solvable");
             assert!(sol.converged, "{name} did not converge");
             table.push_row(vec![
                 name.clone(),

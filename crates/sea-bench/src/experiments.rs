@@ -2,9 +2,9 @@
 //! Table 9/Figure 7), so the table and figure binaries report identical
 //! numbers.
 
-use crate::{trace_to_phases, Scale};
-use sea_baselines::rc::{solve_general_rc, RcOptions};
-use sea_core::{solve_diagonal, GeneralSeaOptions, SeaOptions};
+use crate::{paper_general_options, paper_options, paper_rc_options, trace_to_phases, Scale};
+use sea_baselines::rc::solve_general_rc;
+use sea_core::solve_diagonal;
 use sea_data::io_tables::{io_dataset, IoVariant};
 use sea_data::{table1_instance, table7_instance};
 use sea_parsim::SimPhase;
@@ -72,7 +72,7 @@ pub fn diagonal_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<
             },
             0,
         );
-        let mut opts = SeaOptions::with_epsilon(0.01);
+        let mut opts = paper_options(0.01);
         opts.record_trace = true;
         let sol = solve_diagonal(&p, &opts).expect("feasible");
         let trace = sol.stats.trace.expect("trace requested");
@@ -90,7 +90,7 @@ pub fn diagonal_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<
             Scale::Paper => 1000,
         };
         let p = table1_instance(size, seed);
-        let mut opts = SeaOptions::with_epsilon(0.01);
+        let mut opts = paper_options(0.01);
         opts.record_trace = true;
         let sol = solve_diagonal(&p, &opts).expect("feasible");
         let trace = sol.stats.trace.expect("trace requested");
@@ -110,7 +110,7 @@ pub fn diagonal_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<
     for size in [sp_small, sp_large] {
         let spe = random_spe(size, size, seed);
         let cmp = spe.to_constrained_matrix().expect("valid");
-        let mut opts = SeaOptions::with_epsilon(0.01);
+        let mut opts = paper_options(0.01);
         opts.check_every = 2;
         opts.record_trace = true;
         let sol = solve_diagonal(&cmp, &opts).expect("feasible");
@@ -140,13 +140,13 @@ pub fn general_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<S
     let p = table7_instance(side, seed);
     let g_order = side * side;
 
-    let mut sea_opts = GeneralSeaOptions::with_epsilon(0.001);
+    let mut sea_opts = paper_general_options(0.001);
     sea_opts.record_trace = true;
     let sea = sea_core::solve_general(&p, &sea_opts).expect("solvable");
     assert!(sea.converged, "general SEA did not converge");
     let sea_phases = trace_to_phases(sea.trace.as_ref().expect("trace"));
 
-    let mut rc_opts = RcOptions::with_epsilon(0.001);
+    let mut rc_opts = paper_rc_options(0.001);
     rc_opts.record_trace = true;
     let rc = solve_general_rc(&p, &rc_opts).expect("solvable");
     assert!(rc.converged, "general RC did not converge");

@@ -26,9 +26,37 @@
 
 pub mod experiments;
 
+use sea_baselines::rc::RcOptions;
 use sea_core::trace::ExecutionTrace;
+use sea_core::{GeneralSeaOptions, KernelKind, SeaOptions};
 use sea_parsim::SimPhase;
 use std::path::PathBuf;
+
+/// SEA options of the paper-table and figure reproductions at tolerance
+/// `epsilon`. They pin the sort-scan oracle kernel rather than the
+/// library default: its `7n + n·ln n + 2n` operation profile is the one
+/// the paper's timings and the speedup simulations' task costs assume.
+pub fn paper_options(epsilon: f64) -> SeaOptions {
+    SeaOptions {
+        kernel: KernelKind::SortScan,
+        ..SeaOptions::with_epsilon(epsilon)
+    }
+}
+
+/// [`paper_options`] for the general driver (its inner diagonal solves).
+pub fn paper_general_options(epsilon: f64) -> GeneralSeaOptions {
+    let mut opts = GeneralSeaOptions::with_epsilon(epsilon);
+    opts.inner.kernel = KernelKind::SortScan;
+    opts
+}
+
+/// [`paper_options`] for the RC baseline's half-step subproblems.
+pub fn paper_rc_options(epsilon: f64) -> RcOptions {
+    RcOptions {
+        kernel: KernelKind::SortScan,
+        ..RcOptions::with_epsilon(epsilon)
+    }
+}
 
 /// Problem-size scaling for the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -34,9 +34,9 @@
 
 use crate::error::SeaError;
 use crate::knapsack::{
-    elastic_constants, exact_equilibration_boxed_with, exact_equilibration_with, select_lambda,
-    validate_inputs, EquilibrationResult, EquilibrationScratch, FlatPolicy, KernelKind,
-    SelectEvent, TotalMode,
+    canonical_lambda, check_mode, elastic_constants, empty_subproblem,
+    exact_equilibration_boxed_with, exact_equilibration_with, select_lambda, validate_inputs,
+    EquilibrationResult, EquilibrationScratch, FlatPolicy, KernelKind, SelectEvent, TotalMode,
 };
 use sea_linalg::simd::{self, SimdLevel};
 use sea_linalg::sort;
@@ -206,30 +206,6 @@ impl SimdScratch {
     }
 }
 
-/// Shared `n == 0` handling, byte-for-byte the scalar kernels' behaviour.
-fn empty_subproblem(mode: TotalMode) -> Result<EquilibrationResult, SeaError> {
-    match mode {
-        TotalMode::Fixed { total } if total > 0.0 => Err(SeaError::InfeasibleSubproblem {
-            side: "row",
-            index: 0,
-        }),
-        TotalMode::Fixed { .. } => Ok(EquilibrationResult {
-            lambda: 0.0,
-            total: 0.0,
-            active: 0,
-        }),
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => Ok(EquilibrationResult {
-            lambda: 2.0 * alpha * prior - cross,
-            total: 0.0,
-            active: 0,
-        }),
-    }
-}
-
 /// [`exact_equilibration_with`]
 /// through the vectorized path: identical results, identical counters, SIMD
 /// elementwise work. [`SimdLevel::Scalar`] delegates to the oracle itself.
@@ -253,16 +229,7 @@ pub fn exact_equilibration_simd(
     validate_inputs(q, gamma, shift, x_out)?;
     let n = q.len();
     scratch.stats.subproblems += 1;
-
-    if let TotalMode::Elastic { alpha, .. } = mode {
-        if !(alpha > 0.0) {
-            return Err(SeaError::NonPositiveWeight {
-                which: "alpha",
-                index: 0,
-                value: alpha,
-            });
-        }
-    }
+    check_mode(mode)?;
     if n == 0 {
         return empty_subproblem(mode);
     }
@@ -405,14 +372,15 @@ fn simd_lambda_quickselect(
             db: scratch.simd.db[j],
         });
     }
-    select_lambda(
+    let lambda = select_lambda(
         &mut scratch.events,
         0.0,
         mode,
         FlatPolicy::NonnegativePrefix,
         &mut scratch.stats.quickselect_pivots,
     )
-    .unwrap_or(f64::NAN)
+    .unwrap_or(f64::NAN);
+    canonical_lambda(q, gamma, shift, mode, lambda, scratch)
 }
 
 /// [`exact_equilibration_boxed_with`]
@@ -680,15 +648,7 @@ pub fn exact_equilibration_f32(
     validate_inputs(q, gamma, shift, x_out)?;
     let n = q.len();
     scratch.stats.subproblems += 1;
-    if let TotalMode::Elastic { alpha, .. } = mode {
-        if !(alpha > 0.0) {
-            return Err(SeaError::NonPositiveWeight {
-                which: "alpha",
-                index: 0,
-                value: alpha,
-            });
-        }
-    }
+    check_mode(mode)?;
     if n == 0 {
         return empty_subproblem(mode).map(Some);
     }
@@ -997,5 +957,52 @@ impl EquilibrationScratch {
             out_lo,
             out_hi,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn infeasible<T>(r: Result<T, SeaError>) -> bool {
+        matches!(r, Err(SeaError::InfeasibleSubproblem { .. }))
+    }
+
+    #[test]
+    fn negative_fixed_total_is_infeasible_at_every_level() {
+        let mode = TotalMode::Fixed { total: -1.0 };
+        let (q, g, sh) = ([1.0, 2.0, 3.0], [1.0; 3], [0.0; 3]);
+        let mut sc = EquilibrationScratch::new();
+        for level in [SimdLevel::Scalar, SimdLevel::detect()] {
+            for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+                let mut x = [0.0; 3];
+                assert!(infeasible(exact_equilibration_simd(
+                    level, kernel, &q, &g, &sh, mode, &mut x, &mut sc
+                )));
+                assert!(infeasible(exact_equilibration_simd(
+                    level,
+                    kernel,
+                    &[],
+                    &[],
+                    &[],
+                    mode,
+                    &mut [],
+                    &mut sc
+                )));
+            }
+            let mut x = [0.0; 3];
+            assert!(infeasible(exact_equilibration_f32(
+                level, &q, &g, &sh, mode, &mut x, &mut sc
+            )));
+            assert!(infeasible(exact_equilibration_f32(
+                level,
+                &[],
+                &[],
+                &[],
+                mode,
+                &mut [],
+                &mut sc
+            )));
+        }
     }
 }

@@ -31,6 +31,16 @@
 //! A box-bounded variant ([`exact_equilibration_boxed`]) supports the
 //! Ohuchi–Kaji (1984) bounded model and Harrigan–Buchanan (1984) interval
 //! constraints.
+//!
+//! Inside a solve the default kernel runs a fallback chain: a *warm*
+//! Newton search from the multiplier the subproblem had in the previous
+//! epoch (Cominetti–Mascarenhas–Silva, "A Newton's method for the
+//! continuous quadratic knapsack problem", Math. Prog. Comp. 2014), then
+//! quickselect when the hint does not land within a few steps, then
+//! sort-scan when quickselect meets pathological input. Every route ends
+//! on the same canonical multiplier — the root of the linear piece that
+//! contains it, summed over that piece's active set in index order — so
+//! the answer does not depend on the route or the hint.
 
 use crate::error::SeaError;
 use sea_linalg::sort;
@@ -66,13 +76,16 @@ pub enum TotalMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
     /// Argsort the breakpoints, then scan segments in order — `O(n log n)`,
-    /// the paper's `7n + n·ln n + 2n` profile. The reference oracle.
-    #[default]
+    /// the paper's `7n + n·ln n + 2n` profile. The reference oracle, the
+    /// fallback of the selection kernel, and the kernel of the paper-table
+    /// reproductions.
     SortScan,
     /// Expected-`O(n)` selection: deterministic median-of-3 quickselect over
     /// the breakpoints, folding discarded segments into running linear
     /// coefficients instead of ever sorting (Kiwiel-style breakpoint
-    /// search).
+    /// search). The default; inside a solve it is warm-started from the
+    /// previous epoch's multiplier (see the module docs).
+    #[default]
     Quickselect,
 }
 
@@ -274,44 +287,10 @@ pub fn exact_equilibration_with(
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
     validate_inputs(q, gamma, shift, x_out)?;
-    let n = q.len();
     scratch.stats.subproblems += 1;
-
-    if let TotalMode::Elastic { alpha, .. } = mode {
-        if !(alpha > 0.0) {
-            return Err(SeaError::NonPositiveWeight {
-                which: "alpha",
-                index: 0,
-                value: alpha,
-            });
-        }
-    }
-
-    if n == 0 {
-        return match mode {
-            TotalMode::Fixed { total } if total > 0.0 => Err(SeaError::InfeasibleSubproblem {
-                side: "row",
-                index: 0,
-            }),
-            TotalMode::Fixed { .. } => Ok(EquilibrationResult {
-                lambda: 0.0,
-                total: 0.0,
-                active: 0,
-            }),
-            TotalMode::Elastic {
-                alpha,
-                prior,
-                cross,
-            } => {
-                // Only the elastic total remains: s = prior − (λ+cross)/(2α)
-                // with s = Σx = 0 ⇒ λ = 2α·prior − cross.
-                Ok(EquilibrationResult {
-                    lambda: 2.0 * alpha * prior - cross,
-                    total: 0.0,
-                    active: 0,
-                })
-            }
-        };
+    check_mode(mode)?;
+    if q.is_empty() {
+        return empty_subproblem(mode);
     }
 
     let lambda = match kernel {
@@ -324,11 +303,66 @@ pub fn exact_equilibration_with(
         // when b stays 0, i.e. n == 0 (handled above) — defensive.
         return Err(SeaError::NumericalBreakdown { iteration: 0 });
     }
+    Ok(materialize_plain(q, gamma, shift, mode, lambda, x_out))
+}
 
-    // Materialize the solution.
+/// Refuse a total specification no nonnegative subproblem can meet: a
+/// negative fixed total, or an elastic weight that is not strictly
+/// positive. Shared by every plain kernel (scalar, SIMD, mixed-precision
+/// and warm).
+pub(crate) fn check_mode(mode: TotalMode) -> Result<(), SeaError> {
+    match mode {
+        TotalMode::Fixed { total } if total < 0.0 => Err(SeaError::InfeasibleSubproblem {
+            side: "row",
+            index: 0,
+        }),
+        TotalMode::Elastic { alpha, .. } if !(alpha > 0.0) => Err(SeaError::NonPositiveWeight {
+            which: "alpha",
+            index: 0,
+            value: alpha,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// The `n == 0` subproblem, once [`check_mode`] has passed: the only
+/// feasible fixed total is zero; an elastic total settles where
+/// `s = prior − (λ+cross)/(2α) = 0`, i.e. `λ = 2α·prior − cross`.
+pub(crate) fn empty_subproblem(mode: TotalMode) -> Result<EquilibrationResult, SeaError> {
+    match mode {
+        TotalMode::Fixed { total } if total > 0.0 => Err(SeaError::InfeasibleSubproblem {
+            side: "row",
+            index: 0,
+        }),
+        TotalMode::Fixed { .. } => Ok(EquilibrationResult {
+            lambda: 0.0,
+            total: 0.0,
+            active: 0,
+        }),
+        TotalMode::Elastic {
+            alpha,
+            prior,
+            cross,
+        } => Ok(EquilibrationResult {
+            lambda: 2.0 * alpha * prior - cross,
+            total: 0.0,
+            active: 0,
+        }),
+    }
+}
+
+/// Write `xⱼ(λ)` for a located multiplier and report the realized total.
+fn materialize_plain(
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    mode: TotalMode,
+    lambda: f64,
+    x_out: &mut [f64],
+) -> EquilibrationResult {
     let mut sum = 0.0;
     let mut active = 0usize;
-    for j in 0..n {
+    for j in 0..q.len() {
         let v = q[j] + (shift[j] + lambda) / (2.0 * gamma[j]);
         let v = if v > 0.0 { v } else { 0.0 };
         if v > 0.0 {
@@ -361,11 +395,126 @@ pub fn exact_equilibration_with(
         }
     }
 
-    Ok(EquilibrationResult {
+    EquilibrationResult {
         lambda,
         total,
         active,
-    })
+    }
+}
+
+/// Newton steps the warm path may take from its hint before it hands the
+/// subproblem to quickselect. Between SEA epochs a multiplier moves
+/// little, so one or two steps usually land on the root's piece; a hint
+/// that needs more is served better by the expected-linear selection.
+const WARM_NEWTON_STEPS: usize = 3;
+
+/// The warm path of the default kernel: Newton's method on the
+/// piecewise-linear total, started from `hint` (the multiplier the
+/// subproblem had in the previous epoch) and capped at
+/// [`WARM_NEWTON_STEPS`] trial multipliers, each counted as one search
+/// round in `quickselect_pivots`.
+///
+/// A trial is accepted only when it lies on the linear piece it was
+/// computed from, so an accepted multiplier is the exact root, bitwise
+/// independent of the hint. Returns `Ok(None)` — having solved nothing and
+/// counted no subproblem — when the hint is not finite, the subproblem is
+/// empty, or no trial is accepted; the caller then runs the cold kernel.
+///
+/// # Errors
+/// The same input errors as [`exact_equilibration_with`].
+pub(crate) fn exact_equilibration_warm(
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    mode: TotalMode,
+    hint: f64,
+    x_out: &mut [f64],
+    scratch: &mut EquilibrationScratch,
+) -> Result<Option<EquilibrationResult>, SeaError> {
+    validate_inputs(q, gamma, shift, x_out)?;
+    check_mode(mode)?;
+    if q.is_empty() {
+        return Ok(None);
+    }
+    let rounds = &mut scratch.stats.quickselect_pivots;
+    let Some(lambda) = newton_lambda(q, gamma, shift, mode, hint, WARM_NEWTON_STEPS, rounds) else {
+        return Ok(None);
+    };
+    scratch.stats.subproblems += 1;
+    Ok(Some(materialize_plain(
+        q, gamma, shift, mode, lambda, x_out,
+    )))
+}
+
+/// Up to `steps` Newton steps from `lambda` on `Σⱼ xⱼ(λ) = S(λ)`; returns
+/// the first trial that lies on its own linear piece. Each trial costs one
+/// `O(n)` sweep and one count in `rounds`.
+fn newton_lambda(
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    mode: TotalMode,
+    mut lambda: f64,
+    steps: usize,
+    rounds: &mut u64,
+) -> Option<f64> {
+    for _ in 0..steps {
+        if !lambda.is_finite() {
+            return None;
+        }
+        *rounds += 1;
+        let (root, on_piece) = piece_root(q, gamma, shift, mode, lambda)?;
+        if on_piece {
+            return Some(root);
+        }
+        lambda = root;
+    }
+    None
+}
+
+/// The root of the linear piece of `Σⱼ xⱼ(λ) − S(λ)` that contains
+/// `lambda`, and whether that root lies on the same piece.
+///
+/// Entry `j` is active on the piece iff its breakpoint `bⱼ < lambda`; the
+/// piece is `(max active bⱼ, min inactive bⱼ]`. Its linear form is summed
+/// over the active entries in index order, so every `lambda` on one piece
+/// yields the same bits. `None` when the piece has no root to step to (a
+/// positive fixed total left of every breakpoint) or a breakpoint is NaN;
+/// a non-finite root is never on its piece.
+fn piece_root(
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    mode: TotalMode,
+    lambda: f64,
+) -> Option<(f64, bool)> {
+    let (mut a, mut b) = (0.0_f64, 0.0_f64);
+    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+    for j in 0..q.len() {
+        let v = -2.0 * gamma[j] * q[j] - shift[j];
+        if v < lambda {
+            let inv2g = 1.0 / (2.0 * gamma[j]);
+            a += q[j] + shift[j] * inv2g;
+            b += inv2g;
+            lo = lo.max(v);
+        } else if v >= lambda {
+            hi = hi.min(v);
+        } else {
+            return None;
+        }
+    }
+    let root = match mode {
+        TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
+        // No active entry: only a zero total is met, by x = 0, and the
+        // boundary is reported as the multiplier (as the sweep does).
+        TotalMode::Fixed { total: 0.0 } => hi,
+        TotalMode::Fixed { .. } => return None,
+        TotalMode::Elastic { .. } => {
+            let (el_slope, el_const) = elastic_constants(mode);
+            (el_const - a) / (b + el_slope)
+        }
+    };
+    Some((root, root.is_finite() && lo < root && root <= hi))
 }
 
 /// Slope/intercept of the elastic total response `S(λ) = el_const − λ·el_slope`
@@ -474,14 +623,39 @@ fn plain_lambda_quickselect(
             db: inv2g,
         });
     }
-    select_lambda(
+    let lambda = select_lambda(
         &mut scratch.events,
         0.0,
         mode,
         FlatPolicy::NonnegativePrefix,
         &mut scratch.stats.quickselect_pivots,
     )
-    .unwrap_or(f64::NAN)
+    .unwrap_or(f64::NAN);
+    canonical_lambda(q, gamma, shift, mode, lambda, scratch)
+}
+
+/// Re-derive a located multiplier from its own piece ([`piece_root`]), so
+/// the cold selection kernel ends on the same bits as the warm path;
+/// keeps `lambda` when it sits where its piece's root does not (a root
+/// exactly on a breakpoint, up to rounding).
+pub(crate) fn canonical_lambda(
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    mode: TotalMode,
+    lambda: f64,
+    scratch: &mut EquilibrationScratch,
+) -> f64 {
+    newton_lambda(
+        q,
+        gamma,
+        shift,
+        mode,
+        lambda,
+        1,
+        &mut scratch.stats.quickselect_pivots,
+    )
+    .unwrap_or(lambda)
 }
 
 /// How a flat (zero-slope) terminal segment is resolved in fixed mode.
@@ -1118,6 +1292,45 @@ mod tests {
     }
 
     #[test]
+    fn negative_fixed_total_is_infeasible_on_every_plain_path() {
+        // No nonnegative x sums to a negative total, with or without
+        // entries; every plain kernel refuses it rather than reporting an
+        // all-zero "solution".
+        let mode = TotalMode::Fixed { total: -1.0 };
+        let (q, g, sh) = ([1.0, 2.0, 3.0], [1.0; 3], [0.0; 3]);
+        let mut sc = EquilibrationScratch::new();
+        for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+            let mut x = [0.0; 3];
+            assert!(matches!(
+                exact_equilibration_with(kernel, &q, &g, &sh, mode, &mut x, &mut sc),
+                Err(SeaError::InfeasibleSubproblem { .. })
+            ));
+            assert!(matches!(
+                exact_equilibration_with(kernel, &[], &[], &[], mode, &mut [], &mut sc),
+                Err(SeaError::InfeasibleSubproblem { .. })
+            ));
+        }
+        let mut x = [0.0; 3];
+        assert!(matches!(
+            exact_equilibration_warm(&q, &g, &sh, mode, 0.0, &mut x, &mut sc),
+            Err(SeaError::InfeasibleSubproblem { .. })
+        ));
+        // A negative zero total is still zero.
+        let r = exact_equilibration_with(
+            KernelKind::Quickselect,
+            &q,
+            &g,
+            &sh,
+            TotalMode::Fixed { total: -0.0 },
+            &mut x,
+            &mut sc,
+        )
+        .unwrap();
+        assert_eq!(x, [0.0; 3]);
+        assert_eq!(r.active, 0);
+    }
+
+    #[test]
     fn shape_errors() {
         let mut x = [0.0; 2];
         let mut sc = EquilibrationScratch::new();
@@ -1292,7 +1505,7 @@ mod tests {
         assert_eq!(KernelKind::parse("select"), Some(KernelKind::Quickselect));
         assert_eq!(KernelKind::parse("bogosort"), None);
         assert_eq!(KernelKind::Quickselect.to_string(), "quickselect");
-        assert_eq!(KernelKind::default(), KernelKind::SortScan);
+        assert_eq!(KernelKind::default(), KernelKind::Quickselect);
     }
 
     #[test]
@@ -1578,6 +1791,92 @@ mod tests {
             assert!((x1[j] - x2[j]).abs() <= 1e-10 * (1.0 + x1[j].abs()));
         }
         let _ = r2;
+    }
+
+    /// Warm solve from `hint`; `None` when the warm path declined.
+    fn warm(
+        q: &[f64],
+        gamma: &[f64],
+        shift: &[f64],
+        mode: TotalMode,
+        hint: f64,
+        sc: &mut EquilibrationScratch,
+    ) -> Option<(EquilibrationResult, Vec<f64>)> {
+        let mut x = vec![0.0; q.len()];
+        exact_equilibration_warm(q, gamma, shift, mode, hint, &mut x, sc)
+            .unwrap()
+            .map(|r| (r, x))
+    }
+
+    #[test]
+    fn warm_path_counts_each_trial_and_declines_cleanly() {
+        let q = [1.0, 2.0, 4.0, 3.0];
+        let gamma = [0.5, 2.0, 1.0, 1.5];
+        let shift = [0.3, -0.7, 0.1, 0.0];
+        let mode = TotalMode::Fixed { total: 6.0 };
+        let mut x = [0.0; 4];
+        let mut sc = EquilibrationScratch::new();
+        let oracle = exact_equilibration_with(
+            KernelKind::SortScan,
+            &q,
+            &gamma,
+            &shift,
+            mode,
+            &mut x,
+            &mut sc,
+        )
+        .unwrap();
+
+        // Started on the root's own piece: one trial, exact root.
+        let mut sc = EquilibrationScratch::new();
+        let (r, xw) = warm(&q, &gamma, &shift, mode, oracle.lambda, &mut sc).unwrap();
+        assert_eq!(sc.stats.quickselect_pivots, 1);
+        assert_eq!(sc.stats.subproblems, 1);
+        assert!((r.lambda - oracle.lambda).abs() <= 1e-12 * (1.0 + oracle.lambda.abs()));
+        for j in 0..4 {
+            assert!((xw[j] - x[j]).abs() <= 1e-12 * (1.0 + x[j].abs()));
+        }
+
+        // Non-finite hints are not tried at all.
+        for hint in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut sc = EquilibrationScratch::new();
+            assert!(warm(&q, &gamma, &shift, mode, hint, &mut sc).is_none());
+            assert!(sc.stats.is_empty(), "hint {hint}: {:?}", sc.stats);
+        }
+
+        // Left of every breakpoint a positive fixed total has no piece
+        // root to step to: one trial, counted, and no subproblem solved.
+        let mut sc = EquilibrationScratch::new();
+        assert!(warm(&q, &gamma, &shift, mode, -1e9, &mut sc).is_none());
+        assert_eq!(sc.stats.quickselect_pivots, 1);
+        assert_eq!(sc.stats.subproblems, 0);
+
+        // Far right: Newton descends piece by piece, at most
+        // WARM_NEWTON_STEPS trials either way.
+        let mut sc = EquilibrationScratch::new();
+        let far = warm(&q, &gamma, &shift, mode, 1e9, &mut sc);
+        assert!(sc.stats.quickselect_pivots as usize <= WARM_NEWTON_STEPS);
+        if let Some((r, _)) = far {
+            assert_eq!(r.lambda.to_bits(), oracle_bits(&q, &gamma, &shift, mode));
+        }
+    }
+
+    /// The canonical multiplier's bits, via the cold selection kernel.
+    fn oracle_bits(q: &[f64], gamma: &[f64], shift: &[f64], mode: TotalMode) -> u64 {
+        let mut x = vec![0.0; q.len()];
+        let mut sc = EquilibrationScratch::new();
+        exact_equilibration_with(
+            KernelKind::Quickselect,
+            q,
+            gamma,
+            shift,
+            mode,
+            &mut x,
+            &mut sc,
+        )
+        .unwrap()
+        .lambda
+        .to_bits()
     }
 
     proptest! {

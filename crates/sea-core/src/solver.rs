@@ -75,8 +75,9 @@ pub struct SeaOptions {
     pub check_every: usize,
     /// Fan-out strategy for the row/column phases.
     pub parallelism: Parallelism,
-    /// Which equilibration kernel solves the row/column subproblems:
-    /// the sort-based reference or the expected-linear selection kernel
+    /// Which equilibration kernel solves the row/column subproblems: the
+    /// expected-linear selection kernel (the default, warm-started from
+    /// each subproblem's previous multiplier) or the sort-based reference
     /// (identical solutions; see [`crate::knapsack::KernelKind`]).
     pub kernel: KernelKind,
     /// SIMD policy for the equilibration kernels, resolved once per solve
@@ -119,7 +120,7 @@ impl Default for SeaOptions {
             max_iterations: 100_000,
             check_every: 1,
             parallelism: Parallelism::Serial,
-            kernel: KernelKind::SortScan,
+            kernel: KernelKind::default(),
             simd: SimdMode::Off,
             precision: Precision::F64,
             record_trace: false,
@@ -375,6 +376,9 @@ pub(crate) struct Sweep<S: Storage> {
     row_starts: Option<Vec<usize>>,
     col_starts: Option<Vec<usize>>,
     criterion: ConvergenceCriterion,
+    /// Whether a row pass has run, i.e. whether `lambda` holds multipliers
+    /// the warm kernel can start from.
+    swept: bool,
 }
 
 impl<S: Storage> Sweep<S> {
@@ -426,6 +430,7 @@ impl<S: Storage> Sweep<S> {
             row_starts,
             col_starts,
             criterion,
+            swept: false,
         })
     }
 
@@ -440,6 +445,14 @@ impl<S: Storage> Sweep<S> {
         bounds: [Option<Bounds<'_, S>>; 2],
         mode: impl Fn(bool, &[f64], usize) -> TotalMode + Sync,
     ) -> Result<(), SeaError> {
+        if !self.swept {
+            // No row multipliers yet: the warm kernel starts right of every
+            // breakpoint (all entries active), from where Newton's method
+            // on the convex piecewise-linear total descends monotonically.
+            // An interior warm-started solve lands in one step there.
+            self.lambda.fill(f64::MAX);
+            self.swept = true;
+        }
         let mu = &self.mu;
         cx.pass(
             PhaseLabel::RowEquilibration,

@@ -223,6 +223,35 @@ fn kernel_work_budget_is_honoured_by_every_driver() {
 }
 
 #[test]
+fn kernel_work_budget_trips_under_the_default_kernel() {
+    // The default kernel's warm path solves a subproblem in as little as
+    // one counted search round, so a budget must still see real work:
+    // one unit trips in the first epoch, and a budget of a few epochs'
+    // work stops the solve part-way through the 50-epoch run.
+    for d in [Driver::Diagonal, Driver::Bounded] {
+        for (cap, first) in [(1, true), (40, false)] {
+            let sup = SupervisorOptions {
+                budget: SolveBudget {
+                    max_kernel_work: Some(cap),
+                    ..SolveBudget::default()
+                },
+                ..SupervisorOptions::default()
+            };
+            let out = run(d, &sup, KernelKind::default(), &mut VecObserver::new()).unwrap();
+            assert_eq!(out.stop, StopReason::WorkCapExceeded, "{d:?} cap {cap}");
+            if first {
+                assert_eq!(out.iterations, 1, "{d:?} cap {cap}");
+            } else {
+                assert!(
+                    (2..50).contains(&out.iterations),
+                    "{d:?} cap {cap}: {out:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn cancellation_is_honoured_by_every_driver() {
     let token = CancelToken::new();
     token.cancel();

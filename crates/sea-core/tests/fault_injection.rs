@@ -388,7 +388,23 @@ fn run_iterations(
     initial_mu: Option<Vec<f64>>,
     start_iteration: usize,
 ) -> sea_core::SupervisedSolution {
-    let mut o = opts(-1.0, Parallelism::Serial, KernelKind::SortScan);
+    run_iterations_with(
+        KernelKind::SortScan,
+        total_budget,
+        checkpoint,
+        initial_mu,
+        start_iteration,
+    )
+}
+
+fn run_iterations_with(
+    kernel: KernelKind,
+    total_budget: usize,
+    checkpoint: Option<(PathBuf, usize)>,
+    initial_mu: Option<Vec<f64>>,
+    start_iteration: usize,
+) -> sea_core::SupervisedSolution {
+    let mut o = opts(-1.0, Parallelism::Serial, kernel);
     o.max_iterations = total_budget;
     o.initial_mu = initial_mu;
     let sup = SupervisorOptions {
@@ -401,53 +417,58 @@ fn run_iterations(
 
 #[test]
 fn resume_from_checkpoint_is_bitwise_identical() {
-    let dir = ckpt_dir("bitwise");
-    let ck_path = dir.join("state.ckpt");
+    // Under the default kernel the resumed run's first row pass starts its
+    // warm search without the checkpoint's λ, yet lands on the same bits:
+    // every route through the kernel ends on the same canonical multiplier.
+    for kernel in [KernelKind::SortScan, KernelKind::default()] {
+        let dir = ckpt_dir(&format!("bitwise-{kernel}"));
+        let ck_path = dir.join("state.ckpt");
 
-    // Reference: 12 uninterrupted iterations (ε < 0 never converges).
-    let full = run_iterations(12, None, None, 0);
-    assert_eq!(full.stop, StopReason::IterationCap);
+        // Reference: 12 uninterrupted iterations (ε < 0 never converges).
+        let full = run_iterations_with(kernel, 12, None, None, 0);
+        assert_eq!(full.stop, StopReason::IterationCap);
 
-    // Interrupted: 5 iterations with a checkpoint every iteration…
-    let partial = run_iterations(5, Some((ck_path.clone(), 1)), None, 0);
-    assert_eq!(partial.stop, StopReason::IterationCap);
-    assert!(partial.checkpoint_error.is_none());
-    let ck = Checkpoint::load(&ck_path).unwrap();
-    assert_eq!(ck.solver, "diagonal");
-    assert_eq!(ck.iteration, 5);
-    // The checkpoint captures the interrupted run's multipliers exactly.
-    assert_eq!(
-        ck.mu.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        partial
-            .solution
-            .mu
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<_>>()
-    );
+        // Interrupted: 5 iterations with a checkpoint every iteration…
+        let partial = run_iterations_with(kernel, 5, Some((ck_path.clone(), 1)), None, 0);
+        assert_eq!(partial.stop, StopReason::IterationCap);
+        assert!(partial.checkpoint_error.is_none());
+        let ck = Checkpoint::load(&ck_path).unwrap();
+        assert_eq!(ck.solver, "diagonal");
+        assert_eq!(ck.iteration, 5);
+        // The checkpoint captures the interrupted run's multipliers exactly.
+        assert_eq!(
+            ck.mu.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            partial
+                .solution
+                .mu
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
 
-    // …then 7 more from the loaded snapshot.
-    let resumed = run_iterations(7, None, Some(ck.mu), ck.iteration);
+        // …then 7 more from the loaded snapshot.
+        let resumed = run_iterations_with(kernel, 7, None, Some(ck.mu), ck.iteration);
 
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&full.solution.mu),
-        bits(&resumed.solution.mu),
-        "resumed μ diverges from the uninterrupted run"
-    );
-    assert_eq!(
-        bits(&full.solution.lambda),
-        bits(&resumed.solution.lambda),
-        "resumed λ diverges from the uninterrupted run"
-    );
-    assert_eq!(
-        bits(full.solution.x.as_slice()),
-        bits(resumed.solution.x.as_slice()),
-        "resumed x diverges from the uninterrupted run"
-    );
-    // Atomic writes leave no tmp residue behind.
-    assert!(!dir.join("state.ckpt.tmp").exists());
-    std::fs::remove_dir_all(&dir).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&full.solution.mu),
+            bits(&resumed.solution.mu),
+            "{kernel}: resumed μ diverges from the uninterrupted run"
+        );
+        assert_eq!(
+            bits(&full.solution.lambda),
+            bits(&resumed.solution.lambda),
+            "{kernel}: resumed λ diverges from the uninterrupted run"
+        );
+        assert_eq!(
+            bits(full.solution.x.as_slice()),
+            bits(resumed.solution.x.as_slice()),
+            "{kernel}: resumed x diverges from the uninterrupted run"
+        );
+        // Atomic writes leave no tmp residue behind.
+        assert!(!dir.join("state.ckpt.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

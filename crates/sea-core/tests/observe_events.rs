@@ -11,8 +11,8 @@
 
 use sea_core::{
     solve_bounded_supervised, solve_diagonal_observed, solve_general_supervised, BoundedProblem,
-    DiagonalProblem, GeneralProblem, GeneralSeaOptions, GeneralTotalSpec, Parallelism, SeaOptions,
-    StopReason, SupervisorOptions, TotalSpec,
+    DiagonalProblem, GeneralProblem, GeneralSeaOptions, GeneralTotalSpec, KernelKind, Parallelism,
+    SeaOptions, StopReason, SupervisorOptions, TotalSpec,
 };
 use sea_linalg::{DenseMatrix, SymMatrix};
 use sea_observe::jsonl::{encode_event, parse_events, JsonlObserver};
@@ -112,6 +112,7 @@ fn event_stream_matches_golden_fixture() {
     let p = golden_problem();
     let mut opts = SeaOptions::with_epsilon(1e-10);
     opts.parallelism = Parallelism::Serial;
+    opts.kernel = KernelKind::SortScan;
 
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
@@ -158,6 +159,7 @@ fn sparse_event_stream_matches_golden_fixture() {
     .unwrap();
     let mut opts = SeaOptions::with_epsilon(1e-10);
     opts.parallelism = Parallelism::Serial;
+    opts.kernel = KernelKind::SortScan;
 
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
@@ -194,7 +196,10 @@ fn bounded_event_stream_matches_golden_fixture() {
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_bounded_supervised(
         &p,
-        &SeaOptions::with_epsilon(1e-10),
+        &SeaOptions {
+            kernel: KernelKind::SortScan,
+            ..SeaOptions::with_epsilon(1e-10)
+        },
         &SupervisorOptions::default(),
         &mut obs,
     )
@@ -227,6 +232,7 @@ fn general_event_stream_matches_golden_fixture() {
     .unwrap();
     let mut opts = GeneralSeaOptions::with_epsilon(1e-9);
     opts.inner.parallelism = Parallelism::Serial;
+    opts.inner.kernel = KernelKind::SortScan;
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_general_supervised::<DenseMatrix, _>(
         &p,

@@ -66,7 +66,9 @@ pub struct KernelCounters {
     pub subproblems: u64,
     /// Breakpoint segments swept by the sort-scan kernel.
     pub breakpoints_scanned: u64,
-    /// Partition rounds performed by the quickselect kernel.
+    /// Search rounds of the quickselect kernel: its partition rounds, plus
+    /// one per trial multiplier its warm Newton path evaluates (including
+    /// the trial that re-derives a selected multiplier from its piece).
     pub quickselect_pivots: u64,
     /// Entries clamped at a box bound by the boxed (interval) kernels.
     pub boxed_clamps: u64,

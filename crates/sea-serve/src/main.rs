@@ -48,7 +48,7 @@ FLAGS:
                        answers 200 with \"degraded\":true instead of 504
                        (default off)
   --max-iterations N   iteration cap per solve   (default 10000)
-  --kernel NAME        equilibration kernel      (default sortscan)
+  --kernel NAME        equilibration kernel      (default quickselect)
   --simd POLICY        kernel SIMD policy        (default auto; off = scalar
                        oracle, force = fail fast when the CPU lacks AVX2)
   --parallel POLICY    per-solve threads         (default serial)
