@@ -27,7 +27,9 @@ use crate::kernel_simd::{
     exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,
     exact_equilibration_simd,
 };
-use crate::knapsack::{exact_equilibration_warm, EquilibrationScratch, KernelKind, TotalMode};
+use crate::knapsack::{
+    exact_equilibration_warm, BoundSlices, EquilibrationScratch, KernelKind, TotalMode,
+};
 use crate::parallel::Parallelism;
 use crate::storage::{RowView, Storage};
 use crate::supervisor::TaskFault;
@@ -215,17 +217,26 @@ pub struct PassInputs<'a, S: Storage> {
 }
 
 /// Run the configured kernel on one subproblem — box-bounded when `bounds`
-/// carries the subproblem's `(lo, hi)` slices; on a pathological result
-/// (non-finite `λ` or total — or a scripted kernel fault) re-solve with the
-/// robust sort-scan kernel and count the fallback. Quickselect's
-/// median-of-three pivoting can in principle degrade on adversarial
-/// breakpoint patterns; sort-scan is the slower oracle both kernels are
-/// differentially tested against, so it is the safe harbor.
+/// carries the subproblem's `(lo, hi)` slices.
 ///
-/// An `f32` phase first tries the `f32` λ-search. Under quickselect an
-/// unbounded subproblem that needs the `f64` kernel then tries the warm
-/// Newton path from `hint`, the multiplier this subproblem had after the
-/// previous pass (still in the pass's output slot).
+/// Under quickselect (the default) this is a fallback chain:
+///
+/// 1. the *warm* Newton path from `hint`, the multiplier this subproblem
+///    had after the previous pass (still in the pass's output slot), for
+///    plain and boxed subproblems alike; it declines on a non-finite hint,
+///    a NaN breakpoint, a boxed flat piece (every entry at a bound), a
+///    boxed fixed total that pins every entry (`Σ lo` or `Σ hi`), or after
+///    `WARM_NEWTON_STEPS` trials off the root's piece;
+/// 2. cold quickselect, which ends with one piece-root trial so it lands
+///    on the warm path's bits;
+/// 3. sort-scan, on a pathological result (non-finite `λ` or total — or a
+///    scripted kernel fault), counted as a fallback. Quickselect's
+///    median-of-three pivoting can in principle degrade on adversarial
+///    breakpoint patterns; sort-scan is the slower oracle both kernels are
+///    differentially tested against, so it is the safe harbor.
+///
+/// An `f32` phase first tries the `f32` λ-search; a subproblem that needs
+/// the `f64` kernel then enters the chain at step 1.
 #[allow(clippy::too_many_arguments)] // kernel inputs + bounds + output + workspace + fallback sink
 fn kernel_solve(
     kernel: KernelKind,
@@ -235,7 +246,7 @@ fn kernel_solve(
     q: &[f64],
     g: &[f64],
     sh: &[f64],
-    bounds: BoundRows<'_>,
+    bounds: BoundSlices<'_>,
     mode: TotalMode,
     hint: f64,
     x: &mut [f64],
@@ -258,8 +269,8 @@ fn kernel_solve(
         // subproblem; count the fallback and re-solve in full precision.
         *fallbacks += 1;
     }
-    if kernel == KernelKind::Quickselect && bounds.is_none() && !force_fallback {
-        if let Some(r) = exact_equilibration_warm(q, g, sh, mode, hint, x, eq)? {
+    if kernel == KernelKind::Quickselect && !force_fallback {
+        if let Some(r) = exact_equilibration_warm(q, g, sh, bounds, mode, hint, x, eq)? {
             return Ok((r.lambda, r.total));
         }
     }
@@ -299,9 +310,9 @@ fn empty_support_result(
     }
 }
 
-/// Entry bounds of a box-bounded pass, oriented like the pass's prior
-/// (crate-private: the public [`PassInputs`] stays the unbounded pass).
-pub(crate) struct Bounds<'a, S: Storage> {
+/// Entry bounds of a box-bounded pass ([`bounded_pass`]), oriented like
+/// the pass's prior and sharing its pattern.
+pub struct Bounds<'a, S: Storage> {
     /// Lower bounds.
     pub lo: &'a S,
     /// Upper bounds.
@@ -318,14 +329,11 @@ impl<S: Storage> Clone for Bounds<'_, S> {
 
 impl<S: Storage> Copy for Bounds<'_, S> {}
 
-/// One subproblem's `(lo, hi)` slices, when its pass is bounded.
-type BoundRows<'a> = Option<(&'a [f64], &'a [f64])>;
-
 /// Subproblem `i`'s bound slices, in the same layout as its prior row.
 fn bound_rows<'a, S: Storage>(
     bounds: Option<Bounds<'a, S>>,
     i: usize,
-) -> Result<BoundRows<'a>, SeaError> {
+) -> Result<BoundSlices<'a>, SeaError> {
     let Some(b) = bounds else { return Ok(None) };
     match (b.lo.row_view(i), b.hi.row_view(i)) {
         (RowView::Dense(l), RowView::Dense(h))
@@ -358,7 +366,7 @@ fn solve_task<S: Storage>(
         _ => false,
     };
     let box_rows = bound_rows(bounds, i)?;
-    match (inp.prior.row_view(i), inp.gamma.row_view(i)) {
+    let solved = match (inp.prior.row_view(i), inp.gamma.row_view(i)) {
         // Sparse row: the stored entries are the support. The kernel runs
         // directly over the prior/weight value slices and writes the
         // iterate's stored values in place — only the shift is gathered.
@@ -385,13 +393,6 @@ fn solve_task<S: Storage>(
                 &mut scratch.eq,
                 &mut scratch.fallbacks,
             )
-            .map_err(|e| match e {
-                SeaError::InfeasibleSubproblem { .. } => SeaError::InfeasibleSubproblem {
-                    side: inp.side,
-                    index: i,
-                },
-                other => other,
-            })
         }
         (RowView::Dense(prior_row), RowView::Dense(gamma_row)) => match inp.support {
             None => kernel_solve(
@@ -439,7 +440,7 @@ fn solve_task<S: Storage>(
                     x,
                     fallbacks,
                 } = scratch;
-                let (lambda, total) = kernel_solve(
+                let solved = kernel_solve(
                     inp.kernel,
                     inp.simd,
                     inp.f32_phase,
@@ -453,19 +454,14 @@ fn solve_task<S: Storage>(
                     x,
                     eq,
                     fallbacks,
-                )
-                .map_err(|e| match e {
-                    SeaError::InfeasibleSubproblem { .. } => SeaError::InfeasibleSubproblem {
-                        side: inp.side,
-                        index: i,
-                    },
-                    other => other,
-                })?;
-                x_row.fill(0.0);
-                for (&j, &v) in idx.iter().zip(&scratch.x) {
-                    x_row[j as usize] = v;
+                );
+                if solved.is_ok() {
+                    x_row.fill(0.0);
+                    for (&j, &v) in idx.iter().zip(&scratch.x) {
+                        x_row[j as usize] = v;
+                    }
                 }
-                Ok((lambda, total))
+                solved
             }
         },
         // A problem's prior and weights share one storage type and pattern,
@@ -473,7 +469,15 @@ fn solve_task<S: Storage>(
         _ => Err(SeaError::PatternMismatch {
             context: "pass inputs (mixed row views)",
         }),
-    }
+    };
+    // The kernel knows neither the pass's side nor the subproblem's index.
+    solved.map_err(|e| match e {
+        SeaError::InfeasibleSubproblem { .. } => SeaError::InfeasibleSubproblem {
+            side: inp.side,
+            index: i,
+        },
+        other => other,
+    })
 }
 
 /// [`solve_task`] with panic containment: a worker panic (including a
@@ -638,8 +642,12 @@ pub fn equilibration_pass<S: Storage>(
 /// [`equilibration_pass`] with optional entry bounds: with `Some`, every
 /// subproblem is the box-bounded knapsack of the interval class, solved by
 /// the same serial or sharded parallel machinery.
+///
+/// # Errors
+/// Those of [`equilibration_pass`], plus [`SeaError::PatternMismatch`]
+/// when the bounds' row views do not match the prior's.
 #[allow(clippy::too_many_arguments)] // equilibration_pass + bounds
-pub(crate) fn bounded_pass<S: Storage>(
+pub fn bounded_pass<S: Storage>(
     inp: &PassInputs<'_, S>,
     bounds: Option<Bounds<'_, S>>,
     modes: &(dyn Fn(usize) -> TotalMode + Sync),
@@ -1093,6 +1101,55 @@ mod tests {
                 index: 1
             })
         ));
+    }
+
+    #[test]
+    fn dense_pass_reports_the_infeasible_subproblem_it_hit() {
+        // Dense, support-less rows: the kernel's own error knows neither
+        // the side nor the index, so the pass must stamp both, on every
+        // kernel route (cold sort-scan, warm and cold quickselect).
+        let (x0, gamma) = setup();
+        let shift = vec![0.0; 3];
+        for side in ["row", "column"] {
+            for (kernel, hint) in [
+                (KernelKind::SortScan, 0.0),
+                (KernelKind::Quickselect, 0.0),
+                (KernelKind::Quickselect, f64::NAN),
+            ] {
+                let inp = PassInputs {
+                    prior: &x0,
+                    gamma: &gamma,
+                    support: None,
+                    shift: &shift,
+                    side,
+                    kernel,
+                    simd: SimdLevel::Scalar,
+                    f32_phase: false,
+                    fault: None,
+                };
+                let mut lambda = vec![hint; 2];
+                let mut totals = vec![0.0; 2];
+                let mut x = DenseMatrix::zeros(2, 3).unwrap();
+                let e = equilibration_pass(
+                    &inp,
+                    &|i| TotalMode::Fixed {
+                        total: if i == 1 { -1.0 } else { 5.0 },
+                    },
+                    &mut lambda,
+                    &mut totals,
+                    &mut x,
+                    Parallelism::Serial,
+                    None,
+                    None,
+                    None,
+                    None,
+                );
+                match e {
+                    Err(SeaError::InfeasibleSubproblem { side: s, index: 1 }) if s == side => {}
+                    other => panic!("{side} pass, {kernel} from {hint}: got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,9 +34,10 @@
 
 use crate::error::SeaError;
 use crate::knapsack::{
-    canonical_lambda, check_mode, elastic_constants, empty_subproblem,
-    exact_equilibration_boxed_with, exact_equilibration_with, select_lambda, validate_inputs,
-    EquilibrationResult, EquilibrationScratch, FlatPolicy, KernelKind, SelectEvent, TotalMode,
+    boxed_extreme, canonical_lambda, check_boxed, check_mode, elastic_constants, empty_subproblem,
+    exact_equilibration_boxed_with, exact_equilibration_with, flat_match, realized_total,
+    select_lambda, validate_inputs, EquilibrationResult, EquilibrationScratch, FlatPolicy,
+    KernelKind, SelectEvent, TotalMode,
 };
 use sea_linalg::simd::{self, SimdLevel};
 use sea_linalg::sort;
@@ -248,14 +249,7 @@ pub fn exact_equilibration_simd(
 
     let (sum, active) = simd::materialize_plain(level, q, gamma, shift, lambda, x_out);
 
-    let total = match mode {
-        TotalMode::Fixed { total } => total,
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => prior - (lambda + cross) / (2.0 * alpha),
-    };
+    let total = realized_total(mode, lambda);
 
     let err = total - sum;
     if err != 0.0 && sum > 0.0 && err.abs() > 0.0 {
@@ -380,7 +374,7 @@ fn simd_lambda_quickselect(
         &mut scratch.stats.quickselect_pivots,
     )
     .unwrap_or(f64::NAN);
-    canonical_lambda(q, gamma, shift, mode, lambda, scratch)
+    canonical_lambda(q, gamma, shift, None, mode, lambda, scratch)
 }
 
 /// [`exact_equilibration_boxed_with`]
@@ -409,44 +403,9 @@ pub fn exact_equilibration_boxed_simd(
     validate_inputs(q, gamma, shift, x_out)?;
     let n = q.len();
     scratch.stats.subproblems += 1;
-    if lo.len() != n || hi.len() != n {
-        return Err(SeaError::Shape {
-            context: "exact_equilibration_boxed bounds",
-            expected: n,
-            actual: lo.len().min(hi.len()),
-        });
-    }
-    for j in 0..n {
-        if lo[j] > hi[j] {
-            return Err(SeaError::InconsistentBounds {
-                index: j,
-                lower: lo[j],
-                upper: hi[j],
-            });
-        }
-    }
-    let sum_lo: f64 = lo.iter().sum();
-    let sum_hi: f64 = hi.iter().sum();
-    if let TotalMode::Fixed { total } = mode {
-        let span = (sum_hi - sum_lo).abs().max(1.0);
-        if total < sum_lo - 1e-9 * span || total > sum_hi + 1e-9 * span {
-            return Err(SeaError::InfeasibleSubproblem {
-                side: "row",
-                index: 0,
-            });
-        }
-    }
-    if let TotalMode::Elastic { alpha, .. } = mode {
-        if !(alpha > 0.0) {
-            return Err(SeaError::NonPositiveWeight {
-                which: "alpha",
-                index: 0,
-                value: alpha,
-            });
-        }
-    }
+    let (sum_lo, sum_hi) = check_boxed(n, lo, hi, mode)?;
 
-    let mut lambda = match kernel {
+    let lambda = match kernel {
         KernelKind::SortScan => {
             simd_boxed_lambda_sort_scan(level, q, gamma, shift, lo, hi, sum_lo, mode, scratch)
         }
@@ -454,22 +413,10 @@ pub fn exact_equilibration_boxed_simd(
             simd_boxed_lambda_quickselect(level, q, gamma, shift, lo, hi, sum_lo, mode, scratch)
         }
     };
-    if !lambda.is_finite() {
-        lambda = match mode {
-            TotalMode::Fixed { total } if total >= sum_hi => f64::MAX.sqrt(),
-            _ => -f64::MAX.sqrt(),
-        };
-    }
+    let lambda = boxed_extreme(lambda, mode, sum_hi);
 
     let active = simd::materialize_boxed(level, q, gamma, shift, lo, hi, lambda, x_out);
-    let total = match mode {
-        TotalMode::Fixed { total } => total,
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => prior - (lambda + cross) / (2.0 * alpha),
-    };
+    let total = realized_total(mode, lambda);
     scratch.stats.boxed_clamps += (n - active) as u64;
 
     Ok(EquilibrationResult {
@@ -536,7 +483,7 @@ fn simd_boxed_lambda_sort_scan(
             TotalMode::Fixed { total } => {
                 if b > 0.0 {
                     Some((total - a) / b)
-                } else if (a - total).abs() <= 1e-12 * total.abs().max(1.0) {
+                } else if flat_match(a, total) {
                     Some(if r < 2 * n { upper } else { seg_lo })
                 } else {
                     None
@@ -613,14 +560,15 @@ fn simd_boxed_lambda_quickselect(
             db: -scratch.simd.db[j],
         });
     }
-    select_lambda(
+    let lambda = select_lambda(
         &mut scratch.events,
         sum_lo,
         mode,
         FlatPolicy::BoundedMatch,
         &mut scratch.stats.quickselect_pivots,
     )
-    .unwrap_or(f64::NAN)
+    .unwrap_or(f64::NAN);
+    canonical_lambda(q, gamma, shift, Some((lo, hi)), mode, lambda, scratch)
 }
 
 // ---------------------------------------------------------------------------
@@ -666,14 +614,7 @@ pub fn exact_equilibration_f32(
     let lambda = lambda32 as f64;
 
     let (sum, active) = simd::materialize_plain(level, q, gamma, shift, lambda, x_out);
-    let total = match mode {
-        TotalMode::Fixed { total } => total,
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => prior - (lambda + cross) / (2.0 * alpha),
-    };
+    let total = realized_total(mode, lambda);
     if total > 0.0 && !(sum > 0.0) {
         // The f32 multiplier undershot every breakpoint; only the f64
         // kernel can place λ accurately enough.
@@ -789,42 +730,7 @@ pub fn exact_equilibration_boxed_f32(
     validate_inputs(q, gamma, shift, x_out)?;
     let n = q.len();
     scratch.stats.subproblems += 1;
-    if lo.len() != n || hi.len() != n {
-        return Err(SeaError::Shape {
-            context: "exact_equilibration_boxed bounds",
-            expected: n,
-            actual: lo.len().min(hi.len()),
-        });
-    }
-    for j in 0..n {
-        if lo[j] > hi[j] {
-            return Err(SeaError::InconsistentBounds {
-                index: j,
-                lower: lo[j],
-                upper: hi[j],
-            });
-        }
-    }
-    let sum_lo: f64 = lo.iter().sum();
-    let sum_hi: f64 = hi.iter().sum();
-    if let TotalMode::Fixed { total } = mode {
-        let span = (sum_hi - sum_lo).abs().max(1.0);
-        if total < sum_lo - 1e-9 * span || total > sum_hi + 1e-9 * span {
-            return Err(SeaError::InfeasibleSubproblem {
-                side: "row",
-                index: 0,
-            });
-        }
-    }
-    if let TotalMode::Elastic { alpha, .. } = mode {
-        if !(alpha > 0.0) {
-            return Err(SeaError::NonPositiveWeight {
-                which: "alpha",
-                index: 0,
-                value: alpha,
-            });
-        }
-    }
+    let (sum_lo, _) = check_boxed(n, lo, hi, mode)?;
 
     scratch.prepare(n);
     scratch.simd.prepare_f32(n);
@@ -845,14 +751,7 @@ pub fn exact_equilibration_boxed_f32(
     let lambda = lambda32 as f64;
 
     let active = simd::materialize_boxed(level, q, gamma, shift, lo, hi, lambda, x_out);
-    let total = match mode {
-        TotalMode::Fixed { total } => total,
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => prior - (lambda + cross) / (2.0 * alpha),
-    };
+    let total = realized_total(mode, lambda);
     scratch.stats.boxed_clamps += (n - active) as u64;
     Ok(Some(EquilibrationResult {
         lambda,

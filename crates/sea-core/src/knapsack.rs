@@ -32,15 +32,20 @@
 //! Ohuchi–Kaji (1984) bounded model and Harrigan–Buchanan (1984) interval
 //! constraints.
 //!
-//! Inside a solve the default kernel runs a fallback chain: a *warm*
-//! Newton search from the multiplier the subproblem had in the previous
-//! epoch (Cominetti–Mascarenhas–Silva, "A Newton's method for the
-//! continuous quadratic knapsack problem", Math. Prog. Comp. 2014), then
-//! quickselect when the hint does not land within a few steps, then
-//! sort-scan when quickselect meets pathological input. Every route ends
-//! on the same canonical multiplier — the root of the linear piece that
-//! contains it, summed over that piece's active set in index order — so
-//! the answer does not depend on the route or the hint.
+//! Inside a solve the default kernel runs a fallback chain, for plain and
+//! boxed subproblems alike: a *warm* Newton search from the multiplier the
+//! subproblem had in the previous epoch (Cominetti–Mascarenhas–Silva, "A
+//! Newton's method for the continuous quadratic knapsack problem", Math.
+//! Prog. Comp. 2014), then quickselect when the hint does not land within
+//! a few steps, then sort-scan when quickselect meets pathological input.
+//! A Newton trial classifies every entry at the trial multiplier — below
+//! its lower bound's breakpoint it sits at the bound (0 for the plain
+//! kernel), above its upper one at `hi`, interior between — and takes the
+//! root of that piece's linear form. One generic search serves both
+//! kernels; a boxed trial that finds every entry pinned (a flat piece) has
+//! no step and declines. Every route ends on the same canonical
+//! multiplier — the root of the linear piece that contains it, summed in
+//! index order — so the answer does not depend on the route or the hint.
 
 use crate::error::SeaError;
 use sea_linalg::sort;
@@ -372,14 +377,7 @@ fn materialize_plain(
         sum += v;
     }
 
-    let total = match mode {
-        TotalMode::Fixed { total } => total,
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => prior - (lambda + cross) / (2.0 * alpha),
-    };
+    let total = realized_total(mode, lambda);
 
     // Absorb the residual rounding error into the largest entries so the
     // constraint holds to near machine precision (keeps downstream
@@ -408,51 +406,213 @@ fn materialize_plain(
 /// that needs more is served better by the expected-linear selection.
 const WARM_NEWTON_STEPS: usize = 3;
 
+/// One subproblem's `(lo, hi)` entry bounds, when it is box-bounded.
+pub(crate) type BoundSlices<'a> = Option<(&'a [f64], &'a [f64])>;
+
 /// The warm path of the default kernel: Newton's method on the
 /// piecewise-linear total, started from `hint` (the multiplier the
 /// subproblem had in the previous epoch) and capped at
 /// [`WARM_NEWTON_STEPS`] trial multipliers, each counted as one search
-/// round in `quickselect_pivots`.
+/// round in `quickselect_pivots`. `bounds` makes the subproblem the
+/// box-bounded one of [`exact_equilibration_boxed_with`].
 ///
 /// A trial is accepted only when it lies on the linear piece it was
 /// computed from, so an accepted multiplier is the exact root, bitwise
 /// independent of the hint. Returns `Ok(None)` — having solved nothing and
 /// counted no subproblem — when the hint is not finite, the subproblem is
-/// empty, or no trial is accepted; the caller then runs the cold kernel.
+/// empty, a boxed fixed total pins every entry (it equals `Σ lo` or
+/// `Σ hi`), or no trial is accepted (a boxed trial on a flat piece, where
+/// every entry sits at a bound, has no step to take); the caller then runs
+/// the cold kernel.
 ///
 /// # Errors
-/// The same input errors as [`exact_equilibration_with`].
+/// The same input errors as [`exact_equilibration_with`] (plain) or
+/// [`exact_equilibration_boxed_with`] (boxed).
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + hint + output + workspace
 pub(crate) fn exact_equilibration_warm(
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
+    bounds: BoundSlices<'_>,
     mode: TotalMode,
     hint: f64,
     x_out: &mut [f64],
     scratch: &mut EquilibrationScratch,
 ) -> Result<Option<EquilibrationResult>, SeaError> {
     validate_inputs(q, gamma, shift, x_out)?;
-    check_mode(mode)?;
-    if q.is_empty() {
+    let pinned = match bounds {
+        None => {
+            check_mode(mode)?;
+            false
+        }
+        Some((lo, hi)) => {
+            let (sum_lo, sum_hi) = check_boxed(q.len(), lo, hi, mode)?;
+            // A fixed total at Σ lo or Σ hi pins every entry: the root set
+            // is a flat half-line whose end is a breakpoint, which Newton
+            // can only approach from a neighbouring piece within rounding.
+            // The cold kernel reports the end itself.
+            matches!(mode, TotalMode::Fixed { total }
+                if flat_match(sum_lo, total) || flat_match(sum_hi, total))
+        }
+    };
+    if q.is_empty() || pinned {
         return Ok(None);
     }
     let rounds = &mut scratch.stats.quickselect_pivots;
-    let Some(lambda) = newton_lambda(q, gamma, shift, mode, hint, WARM_NEWTON_STEPS, rounds) else {
+    let Some(lambda) = newton(
+        q,
+        gamma,
+        shift,
+        bounds,
+        mode,
+        hint,
+        WARM_NEWTON_STEPS,
+        rounds,
+    ) else {
         return Ok(None);
     };
     scratch.stats.subproblems += 1;
-    Ok(Some(materialize_plain(
-        q, gamma, shift, mode, lambda, x_out,
-    )))
+    Ok(Some(match bounds {
+        None => materialize_plain(q, gamma, shift, mode, lambda, x_out),
+        Some((lo, hi)) => materialize_boxed(q, gamma, shift, lo, hi, mode, lambda, x_out, scratch),
+    }))
+}
+
+/// [`newton_lambda`] on a plain (`None`) or boxed subproblem.
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + start + budget + counter
+fn newton(
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    bounds: BoundSlices<'_>,
+    mode: TotalMode,
+    lambda: f64,
+    steps: usize,
+    rounds: &mut u64,
+) -> Option<f64> {
+    match bounds {
+        None => newton_lambda(q, gamma, shift, Unbounded, mode, lambda, steps, rounds),
+        Some((lo, hi)) => newton_lambda(
+            q,
+            gamma,
+            shift,
+            Boxed { lo, hi },
+            mode,
+            lambda,
+            steps,
+            rounds,
+        ),
+    }
+}
+
+/// The linear piece of `Σⱼ xⱼ(λ)` that contains a trial multiplier: the
+/// total is `a + b·λ` on `(left, right]`.
+#[derive(Clone, Copy)]
+struct Piece {
+    a: f64,
+    b: f64,
+    left: f64,
+    right: f64,
+}
+
+/// The entry bounds a Newton trial classifies against: [`Unbounded`] for
+/// the plain kernel's `xⱼ ≥ 0`, [`Boxed`] for `loⱼ ≤ xⱼ ≤ hiⱼ`. Both are
+/// monomorphised into [`piece_root`], so the plain search keeps its own
+/// loop.
+trait Limits: Copy {
+    /// Fold entry `j`'s state at `lambda` into the piece; `false` on a NaN
+    /// breakpoint.
+    fn fold(self, j: usize, q: f64, gamma: f64, shift: f64, lambda: f64, piece: &mut Piece)
+        -> bool;
+
+    /// The multiplier reported for a fixed `total` on a flat piece (no
+    /// interior entry), if the search can stop there.
+    fn flat_root(self, total: f64, piece: &Piece) -> Option<f64>;
+}
+
+/// The plain kernel's bound `xⱼ ≥ 0`.
+#[derive(Clone, Copy)]
+struct Unbounded;
+
+impl Limits for Unbounded {
+    /// Entry `j` is active iff its breakpoint `bⱼ < lambda`.
+    #[inline(always)]
+    fn fold(self, _j: usize, q: f64, gamma: f64, shift: f64, lambda: f64, p: &mut Piece) -> bool {
+        let v = -2.0 * gamma * q - shift;
+        if v < lambda {
+            let inv2g = 1.0 / (2.0 * gamma);
+            p.a += q + shift * inv2g;
+            p.b += inv2g;
+            p.left = p.left.max(v);
+        } else if v >= lambda {
+            p.right = p.right.min(v);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// No active entry: only a zero total is met, by x = 0, and the
+    /// boundary is reported as the multiplier (as the sweep does).
+    #[inline(always)]
+    fn flat_root(self, total: f64, p: &Piece) -> Option<f64> {
+        (total == 0.0).then_some(p.right)
+    }
+}
+
+/// Box bounds `loⱼ ≤ xⱼ ≤ hiⱼ`.
+#[derive(Clone, Copy)]
+struct Boxed<'a> {
+    lo: &'a [f64],
+    hi: &'a [f64],
+}
+
+impl Limits for Boxed<'_> {
+    /// Entry `j` sits at `loⱼ` for `λ ≤ v_lo`, at `hiⱼ` for `v_hi < λ`, and
+    /// is interior between, with `v_lo`/`v_hi` the cold kernel's events.
+    #[inline(always)]
+    fn fold(self, j: usize, q: f64, gamma: f64, shift: f64, lambda: f64, p: &mut Piece) -> bool {
+        let (lo, hi) = (self.lo[j], self.hi[j]);
+        let v_lo = 2.0 * gamma * (lo - q) - shift;
+        let v_hi = 2.0 * gamma * (hi - q) - shift;
+        // Rounding is monotone, so `lo ≤ hi` gives `v_lo ≤ v_hi`: only a
+        // NaN fails this.
+        if !(v_lo <= v_hi) {
+            return false;
+        }
+        if lambda <= v_lo {
+            p.a += lo;
+            p.right = p.right.min(v_lo);
+        } else if lambda > v_hi {
+            p.a += hi;
+            p.left = p.left.max(v_hi);
+        } else {
+            let inv2g = 1.0 / (2.0 * gamma);
+            p.a += q + shift * inv2g;
+            p.b += inv2g;
+            p.left = p.left.max(v_lo);
+            p.right = p.right.min(v_hi);
+        }
+        true
+    }
+
+    /// Every entry pinned at a bound: Newton has no step, so the trial
+    /// declines and the cold kernel settles the flat piece.
+    #[inline(always)]
+    fn flat_root(self, _total: f64, _p: &Piece) -> Option<f64> {
+        None
+    }
 }
 
 /// Up to `steps` Newton steps from `lambda` on `Σⱼ xⱼ(λ) = S(λ)`; returns
 /// the first trial that lies on its own linear piece. Each trial costs one
 /// `O(n)` sweep and one count in `rounds`.
-fn newton_lambda(
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + start + budget + counter
+fn newton_lambda<L: Limits>(
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
+    limits: L,
     mode: TotalMode,
     mut lambda: f64,
     steps: usize,
@@ -463,7 +623,7 @@ fn newton_lambda(
             return None;
         }
         *rounds += 1;
-        let (root, on_piece) = piece_root(q, gamma, shift, mode, lambda)?;
+        let (root, on_piece) = piece_root(q, gamma, shift, limits, mode, lambda)?;
         if on_piece {
             return Some(root);
         }
@@ -475,46 +635,40 @@ fn newton_lambda(
 /// The root of the linear piece of `Σⱼ xⱼ(λ) − S(λ)` that contains
 /// `lambda`, and whether that root lies on the same piece.
 ///
-/// Entry `j` is active on the piece iff its breakpoint `bⱼ < lambda`; the
-/// piece is `(max active bⱼ, min inactive bⱼ]`. Its linear form is summed
-/// over the active entries in index order, so every `lambda` on one piece
-/// yields the same bits. `None` when the piece has no root to step to (a
-/// positive fixed total left of every breakpoint) or a breakpoint is NaN;
-/// a non-finite root is never on its piece.
-fn piece_root(
+/// [`Limits::fold`] classifies each entry at `lambda`; the piece is where
+/// no entry changes state. Its linear form is summed in index order, so
+/// every `lambda` on one piece yields the same bits. `None` when the piece
+/// has no root to step to (a fixed total on a flat piece, except the plain
+/// kernel's zero total) or a breakpoint is NaN; a non-finite root is never
+/// on its piece.
+fn piece_root<L: Limits>(
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
+    limits: L,
     mode: TotalMode,
     lambda: f64,
 ) -> Option<(f64, bool)> {
-    let (mut a, mut b) = (0.0_f64, 0.0_f64);
-    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+    let mut p = Piece {
+        a: 0.0,
+        b: 0.0,
+        left: f64::NEG_INFINITY,
+        right: f64::INFINITY,
+    };
     for j in 0..q.len() {
-        let v = -2.0 * gamma[j] * q[j] - shift[j];
-        if v < lambda {
-            let inv2g = 1.0 / (2.0 * gamma[j]);
-            a += q[j] + shift[j] * inv2g;
-            b += inv2g;
-            lo = lo.max(v);
-        } else if v >= lambda {
-            hi = hi.min(v);
-        } else {
+        if !limits.fold(j, q[j], gamma[j], shift[j], lambda, &mut p) {
             return None;
         }
     }
     let root = match mode {
-        TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
-        // No active entry: only a zero total is met, by x = 0, and the
-        // boundary is reported as the multiplier (as the sweep does).
-        TotalMode::Fixed { total: 0.0 } => hi,
-        TotalMode::Fixed { .. } => return None,
+        TotalMode::Fixed { total } if p.b > 0.0 => (total - p.a) / p.b,
+        TotalMode::Fixed { total } => limits.flat_root(total, &p)?,
         TotalMode::Elastic { .. } => {
             let (el_slope, el_const) = elastic_constants(mode);
-            (el_const - a) / (b + el_slope)
+            (el_const - p.a) / (p.b + el_slope)
         }
     };
-    Some((root, root.is_finite() && lo < root && root <= hi))
+    Some((root, root.is_finite() && p.left < root && root <= p.right))
 }
 
 /// Slope/intercept of the elastic total response `S(λ) = el_const − λ·el_slope`
@@ -631,31 +785,24 @@ fn plain_lambda_quickselect(
         &mut scratch.stats.quickselect_pivots,
     )
     .unwrap_or(f64::NAN);
-    canonical_lambda(q, gamma, shift, mode, lambda, scratch)
+    canonical_lambda(q, gamma, shift, None, mode, lambda, scratch)
 }
 
 /// Re-derive a located multiplier from its own piece ([`piece_root`]), so
 /// the cold selection kernel ends on the same bits as the warm path;
 /// keeps `lambda` when it sits where its piece's root does not (a root
-/// exactly on a breakpoint, up to rounding).
+/// exactly on a breakpoint, up to rounding, or a boxed flat piece).
 pub(crate) fn canonical_lambda(
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
+    bounds: BoundSlices<'_>,
     mode: TotalMode,
     lambda: f64,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
-    newton_lambda(
-        q,
-        gamma,
-        shift,
-        mode,
-        lambda,
-        1,
-        &mut scratch.stats.quickselect_pivots,
-    )
-    .unwrap_or(lambda)
+    let rounds = &mut scratch.stats.quickselect_pivots;
+    newton(q, gamma, shift, bounds, mode, lambda, 1, rounds).unwrap_or(lambda)
 }
 
 /// How a flat (zero-slope) terminal segment is resolved in fixed mode.
@@ -668,6 +815,13 @@ pub(crate) enum FlatPolicy {
     /// Boxed kernel: flat segments can occur anywhere (every entry pinned
     /// at a bound); accept when the pinned sum already matches the total.
     BoundedMatch,
+}
+
+/// Whether a flat boxed segment whose entries are all pinned at bounds,
+/// summing to `pinned`, meets a fixed `total` (to rounding).
+#[inline]
+pub(crate) fn flat_match(pinned: f64, total: f64) -> bool {
+    (pinned - total).abs() <= 1e-12 * total.abs().max(1.0)
 }
 
 #[inline]
@@ -767,9 +921,7 @@ pub(crate) fn select_lambda(
             } else {
                 let flat_solves = match flat {
                     FlatPolicy::NonnegativePrefix => total <= 0.0,
-                    FlatPolicy::BoundedMatch => {
-                        (acc_a - total).abs() <= 1e-12 * total.abs().max(1.0)
-                    }
+                    FlatPolicy::BoundedMatch => flat_match(acc_a, total),
                 };
                 if flat_solves {
                     Some(if seg_hi.is_finite() {
@@ -845,8 +997,33 @@ pub fn exact_equilibration_boxed_with(
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
     validate_inputs(q, gamma, shift, x_out)?;
-    let n = q.len();
     scratch.stats.subproblems += 1;
+    let (sum_lo, sum_hi) = check_boxed(q.len(), lo, hi, mode)?;
+    let lambda = match kernel {
+        KernelKind::SortScan => {
+            boxed_lambda_sort_scan(q, gamma, shift, lo, hi, sum_lo, mode, scratch)
+        }
+        KernelKind::Quickselect => {
+            boxed_lambda_quickselect(q, gamma, shift, lo, hi, sum_lo, mode, scratch)
+        }
+    };
+    let lambda = boxed_extreme(lambda, mode, sum_hi);
+    Ok(materialize_boxed(
+        q, gamma, shift, lo, hi, mode, lambda, x_out, scratch,
+    ))
+}
+
+/// Refuse box bounds no subproblem of length `n` can use: a length
+/// mismatch, some `loⱼ > hiⱼ`, a fixed total outside `[Σ lo, Σ hi]`, or
+/// an elastic weight that is not strictly positive. Returns
+/// `(Σ lo, Σ hi)`. Shared by every boxed kernel (scalar, SIMD,
+/// mixed-precision and warm).
+pub(crate) fn check_boxed(
+    n: usize,
+    lo: &[f64],
+    hi: &[f64],
+    mode: TotalMode,
+) -> Result<(f64, f64), SeaError> {
     if lo.len() != n || hi.len() != n {
         return Err(SeaError::Shape {
             context: "exact_equilibration_boxed bounds",
@@ -865,43 +1042,57 @@ pub fn exact_equilibration_boxed_with(
     }
     let sum_lo: f64 = lo.iter().sum();
     let sum_hi: f64 = hi.iter().sum();
-    if let TotalMode::Fixed { total } = mode {
-        let span = (sum_hi - sum_lo).abs().max(1.0);
-        if total < sum_lo - 1e-9 * span || total > sum_hi + 1e-9 * span {
-            return Err(SeaError::InfeasibleSubproblem {
-                side: "row",
-                index: 0,
-            });
+    match mode {
+        TotalMode::Fixed { total } => {
+            let span = (sum_hi - sum_lo).abs().max(1.0);
+            if total < sum_lo - 1e-9 * span || total > sum_hi + 1e-9 * span {
+                return Err(SeaError::InfeasibleSubproblem {
+                    side: "row",
+                    index: 0,
+                });
+            }
+        }
+        TotalMode::Elastic { alpha, .. } => {
+            if !(alpha > 0.0) {
+                return Err(SeaError::NonPositiveWeight {
+                    which: "alpha",
+                    index: 0,
+                    value: alpha,
+                });
+            }
         }
     }
-    if let TotalMode::Elastic { alpha, .. } = mode {
-        if !(alpha > 0.0) {
-            return Err(SeaError::NonPositiveWeight {
-                which: "alpha",
-                index: 0,
-                value: alpha,
-            });
-        }
-    }
+    Ok((sum_lo, sum_hi))
+}
 
-    let mut lambda = match kernel {
-        KernelKind::SortScan => {
-            boxed_lambda_sort_scan(q, gamma, shift, lo, hi, sum_lo, mode, scratch)
-        }
-        KernelKind::Quickselect => {
-            boxed_lambda_quickselect(q, gamma, shift, lo, hi, sum_lo, mode, scratch)
-        }
-    };
-    if !lambda.is_finite() {
-        // Fixed mode where the total is only attained at the extreme: clamp.
-        lambda = match mode {
-            TotalMode::Fixed { total } if total >= sum_hi => f64::MAX.sqrt(),
-            _ => -f64::MAX.sqrt(),
-        };
+/// A boxed search that found no segment (NaN): the fixed total is only
+/// attained at an extreme, so report a multiplier past every event.
+pub(crate) fn boxed_extreme(lambda: f64, mode: TotalMode, sum_hi: f64) -> f64 {
+    if lambda.is_finite() {
+        return lambda;
     }
+    match mode {
+        TotalMode::Fixed { total } if total >= sum_hi => f64::MAX.sqrt(),
+        _ => -f64::MAX.sqrt(),
+    }
+}
 
+/// Write the clamped `xⱼ(λ)` of a boxed subproblem, count the entries
+/// pinned at a bound, and report the realized total.
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + λ + output + workspace
+fn materialize_boxed(
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    lo: &[f64],
+    hi: &[f64],
+    mode: TotalMode,
+    lambda: f64,
+    x_out: &mut [f64],
+    scratch: &mut EquilibrationScratch,
+) -> EquilibrationResult {
+    let n = q.len();
     let mut active = 0usize;
-    let mut sum = 0.0;
     for j in 0..n {
         let raw = q[j] + (shift[j] + lambda) / (2.0 * gamma[j]);
         let v = raw.clamp(lo[j], hi[j]);
@@ -909,24 +1100,27 @@ pub fn exact_equilibration_boxed_with(
             active += 1;
         }
         x_out[j] = v;
-        sum += v;
     }
-    let total = match mode {
+    scratch.stats.boxed_clamps += (n - active) as u64;
+    EquilibrationResult {
+        lambda,
+        total: realized_total(mode, lambda),
+        active,
+    }
+}
+
+/// The total a located multiplier realizes: the fixed total, or the
+/// elastic stationarity value `prior − (λ + cross)/(2α)`.
+#[inline]
+pub(crate) fn realized_total(mode: TotalMode, lambda: f64) -> f64 {
+    match mode {
         TotalMode::Fixed { total } => total,
         TotalMode::Elastic {
             alpha,
             prior,
             cross,
         } => prior - (lambda + cross) / (2.0 * alpha),
-    };
-    let _ = sum;
-    scratch.stats.boxed_clamps += (n - active) as u64;
-
-    Ok(EquilibrationResult {
-        lambda,
-        total,
-        active,
-    })
+    }
 }
 
 /// Sort-based segment search for the boxed subproblem: two events per entry
@@ -986,7 +1180,7 @@ fn boxed_lambda_sort_scan(
             TotalMode::Fixed { total } => {
                 if b > 0.0 {
                     Some((total - a) / b)
-                } else if (a - total).abs() <= 1e-12 * total.abs().max(1.0) {
+                } else if flat_match(a, total) {
                     // Flat segment already matching the total.
                     Some(if r < 2 * n { upper } else { seg_lo })
                 } else {
@@ -1053,14 +1247,15 @@ fn boxed_lambda_quickselect(
             db: -inv2g,
         });
     }
-    select_lambda(
+    let lambda = select_lambda(
         &mut scratch.events,
         sum_lo,
         mode,
         FlatPolicy::BoundedMatch,
         &mut scratch.stats.quickselect_pivots,
     )
-    .unwrap_or(f64::NAN)
+    .unwrap_or(f64::NAN);
+    canonical_lambda(q, gamma, shift, Some((lo, hi)), mode, lambda, scratch)
 }
 
 #[cfg(test)]
@@ -1312,7 +1507,7 @@ mod tests {
         }
         let mut x = [0.0; 3];
         assert!(matches!(
-            exact_equilibration_warm(&q, &g, &sh, mode, 0.0, &mut x, &mut sc),
+            exact_equilibration_warm(&q, &g, &sh, None, mode, 0.0, &mut x, &mut sc),
             Err(SeaError::InfeasibleSubproblem { .. })
         ));
         // A negative zero total is still zero.
@@ -1803,7 +1998,7 @@ mod tests {
         sc: &mut EquilibrationScratch,
     ) -> Option<(EquilibrationResult, Vec<f64>)> {
         let mut x = vec![0.0; q.len()];
-        exact_equilibration_warm(q, gamma, shift, mode, hint, &mut x, sc)
+        exact_equilibration_warm(q, gamma, shift, None, mode, hint, &mut x, sc)
             .unwrap()
             .map(|r| (r, x))
     }
@@ -1859,6 +2054,80 @@ mod tests {
         if let Some((r, _)) = far {
             assert_eq!(r.lambda.to_bits(), oracle_bits(&q, &gamma, &shift, mode));
         }
+    }
+
+    #[test]
+    fn boxed_warm_path_lands_on_the_cold_bits_or_declines_uncounted() {
+        let q = [1.0, 2.0, 4.0, 3.0];
+        let gamma = [0.5, 2.0, 1.0, 1.5];
+        let shift = [0.3, -0.7, 0.1, 0.0];
+        let (lo, hi) = ([0.5, 0.0, 1.0, 0.0], [2.5, 3.0, 5.0, 1.0]);
+        let bounds = Some((&lo[..], &hi[..]));
+        let boxed = |mode: TotalMode, hint: f64, sc: &mut EquilibrationScratch| {
+            let mut x = [0.0; 4];
+            exact_equilibration_warm(&q, &gamma, &shift, bounds, mode, hint, &mut x, sc)
+                .unwrap()
+                .map(|r| (r.lambda.to_bits(), x))
+        };
+        let cold = |mode: TotalMode| {
+            let mut x = [0.0; 4];
+            let mut sc = EquilibrationScratch::new();
+            let r = exact_equilibration_boxed_with(
+                KernelKind::Quickselect,
+                &q,
+                &gamma,
+                &shift,
+                &lo,
+                &hi,
+                mode,
+                &mut x,
+                &mut sc,
+            )
+            .unwrap();
+            (r.lambda.to_bits(), x)
+        };
+        let mode = TotalMode::Fixed { total: 6.0 };
+        let (bits, x) = cold(mode);
+        // Started on the root's piece: one trial, the cold route's bits.
+        let mut sc = EquilibrationScratch::new();
+        let lambda = f64::from_bits(bits);
+        assert_eq!(boxed(mode, lambda, &mut sc), Some((bits, x)));
+        assert_eq!((sc.stats.quickselect_pivots, sc.stats.subproblems), (1, 1));
+
+        // A non-finite hint, or a total every entry meets at a bound,
+        // declines before any trial.
+        for (mode, hint) in [
+            (mode, f64::NAN),
+            (mode, f64::NEG_INFINITY),
+            (TotalMode::Fixed { total: 1.5 }, 0.0),
+            (TotalMode::Fixed { total: 11.5 }, 0.0),
+        ] {
+            let mut sc = EquilibrationScratch::new();
+            assert!(boxed(mode, hint, &mut sc).is_none(), "{mode:?} from {hint}");
+            assert!(sc.stats.is_empty(), "{mode:?} from {hint}: {:?}", sc.stats);
+        }
+
+        // Input errors match the cold kernel's.
+        let mut sc = EquilibrationScratch::new();
+        let mut x = [0.0; 4];
+        let swapped = Some((&hi[..], &lo[..]));
+        assert!(matches!(
+            exact_equilibration_warm(&q, &gamma, &shift, swapped, mode, 0.0, &mut x, &mut sc),
+            Err(SeaError::InconsistentBounds { index: 0, .. })
+        ));
+        assert!(matches!(
+            exact_equilibration_warm(
+                &q,
+                &gamma,
+                &shift,
+                bounds,
+                TotalMode::Fixed { total: 50.0 },
+                0.0,
+                &mut x,
+                &mut sc
+            ),
+            Err(SeaError::InfeasibleSubproblem { .. })
+        ));
     }
 
     /// The canonical multiplier's bits, via the cold selection kernel.

@@ -446,11 +446,20 @@ impl<S: Storage> Sweep<S> {
         mode: impl Fn(bool, &[f64], usize) -> TotalMode + Sync,
     ) -> Result<(), SeaError> {
         if !self.swept {
-            // No row multipliers yet: the warm kernel starts right of every
-            // breakpoint (all entries active), from where Newton's method
-            // on the convex piecewise-linear total descends monotonically.
-            // An interior warm-started solve lands in one step there.
-            self.lambda.fill(f64::MAX);
+            // No row multipliers yet. A plain warm search starts right of
+            // every breakpoint (`f64::MAX`: all entries active), from where
+            // Newton's method on the convex piecewise-linear total descends
+            // monotonically; an interior solve lands in one step there. A
+            // boxed subproblem there has every entry at its upper bound, a
+            // flat piece with no Newton step, so a bounded pass starts from
+            // NaN instead: the warm path declines before any trial and the
+            // first pass costs exactly the cold quickselect's work.
+            let start = if bounds[0].is_some() {
+                f64::NAN
+            } else {
+                f64::MAX
+            };
+            self.lambda.fill(start);
             self.swept = true;
         }
         let mu = &self.mu;

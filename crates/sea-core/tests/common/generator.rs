@@ -221,6 +221,36 @@ pub fn try_bounded(
     BoundedProblem::new(x0, gamma, lo, hi, s0, d0)
 }
 
+/// Box-bounded instances whose bounds bind: staggered priors
+/// (`1..7`, jittered) with weights `10^{-1,0,1}` (a wider spread makes
+/// the bounded alternation crawl for tens of thousands of sweeps), totals
+/// from a feasible matrix `y` (each prior scaled by a factor in
+/// `[0.5, 1.5)`), and every entry boxed to `[0.85·y, 1.2·y]`, so most
+/// priors start outside their box. Always constructible.
+pub fn heterogeneous_bounded(seed: u64, m: usize, n: usize) -> BoundedProblem {
+    let mut r = rng(seed);
+    let (mut x0, mut gamma, mut y) = (Vec::new(), Vec::new(), Vec::new());
+    for k in 0..m * n {
+        let phase = k % 7;
+        let prior = (1.0 + phase as f64) * r.random_range(0.9..1.1);
+        x0.push(prior);
+        gamma.push(10f64.powi((phase % 3) as i32 - 1));
+        y.push(prior * r.random_range(0.5..1.5));
+    }
+    let dense = |v: Vec<f64>| DenseMatrix::from_vec(m, n, v).expect("valid dims");
+    let scaled = |s: f64| dense(y.iter().map(|v| v * s).collect());
+    let y = dense(y.clone());
+    BoundedProblem::new(
+        dense(x0),
+        dense(gamma),
+        scaled(0.85),
+        scaled(1.2),
+        y.row_sums(),
+        y.col_sums(),
+    )
+    .expect("heterogeneous bounded family is always constructible")
+}
+
 /// Seeded adversarial general instance: strictly diagonally dominant
 /// symmetric `G` (SPD by Gershgorin) with a `10^±decades` diagonal spread.
 pub fn try_general(

@@ -471,6 +471,82 @@ fn resume_from_checkpoint_is_bitwise_identical() {
     }
 }
 
+/// A bounded problem that takes many sweeps: weights spanning four
+/// decades, priors up to 7 against an upper bound of 6, totals from a
+/// feasible matrix inside the box.
+fn slow_bounded_problem() -> BoundedProblem {
+    let (m, n) = (4, 5);
+    let cell = |f: &dyn Fn(usize, usize) -> f64| {
+        DenseMatrix::from_vec(m, n, (0..m * n).map(|k| f(k / n, k % n)).collect()).unwrap()
+    };
+    let y = cell(&|i, j| 2.0 + ((3 * i + 2 * j) % 5) as f64);
+    BoundedProblem::new(
+        cell(&|i, j| 1.0 + ((i * n + j) % 7) as f64),
+        cell(&|i, j| 10f64.powi(((i * n + j) % 5) as i32 - 2)),
+        DenseMatrix::filled(m, n, 0.5).unwrap(),
+        DenseMatrix::filled(m, n, 6.0).unwrap(),
+        y.row_sums(),
+        y.col_sums(),
+    )
+    .unwrap()
+}
+
+fn run_bounded_iterations(
+    kernel: KernelKind,
+    total_budget: usize,
+    checkpoint: Option<(PathBuf, usize)>,
+    initial_mu: Option<Vec<f64>>,
+    start_iteration: usize,
+) -> sea_core::SupervisedBoundedSolution {
+    let mut o = opts(-1.0, Parallelism::Serial, kernel);
+    o.max_iterations = total_budget;
+    o.initial_mu = initial_mu;
+    let sup = SupervisorOptions {
+        checkpoint: checkpoint.map(|(path, every)| CheckpointPolicy { path, every }),
+        start_iteration,
+        ..SupervisorOptions::default()
+    };
+    solve_bounded_supervised(&slow_bounded_problem(), &o, &sup, &mut NullObserver).unwrap()
+}
+
+#[test]
+fn bounded_resume_from_checkpoint_is_bitwise_identical() {
+    // The resumed run's first row pass has no λ to warm-start from, so
+    // under the default kernel it runs the cold boxed search where the
+    // uninterrupted run took the warm one; both end on the same bits.
+    for kernel in [KernelKind::SortScan, KernelKind::default()] {
+        let dir = ckpt_dir(&format!("bounded-{kernel}"));
+        let ck_path = dir.join("state.ckpt");
+        let full = run_bounded_iterations(kernel, 12, None, None, 0);
+        assert_eq!(full.stop, StopReason::IterationCap);
+        let partial = run_bounded_iterations(kernel, 5, Some((ck_path.clone(), 1)), None, 0);
+        assert_eq!(partial.stop, StopReason::IterationCap);
+        let ck = Checkpoint::load(&ck_path).unwrap();
+        assert_eq!((ck.solver.as_str(), ck.iteration), ("bounded", 5));
+        let resumed = run_bounded_iterations(kernel, 7, None, Some(ck.mu), ck.iteration);
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (f, r) = (&full.solution, &resumed.solution);
+        // The run must still be moving, or the comparison proves little.
+        assert!(
+            f.residuals.rel_row_inf > 0.0,
+            "{kernel}: converged too early"
+        );
+        assert_eq!(bits(&f.mu), bits(&r.mu), "{kernel}: resumed μ diverges");
+        assert_eq!(
+            bits(&f.lambda),
+            bits(&r.lambda),
+            "{kernel}: resumed λ diverges"
+        );
+        assert_eq!(
+            bits(f.x.as_slice()),
+            bits(r.x.as_slice()),
+            "{kernel}: resumed x diverges"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 #[test]
 fn resumed_checkpoints_continue_the_cumulative_iteration_count() {
     let dir = ckpt_dir("cumulative");
